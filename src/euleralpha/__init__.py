@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     TorusGrid,
     VectorField,
-    apply_multiplier,
     dealias,
     ddx,
     ddy,
@@ -23,7 +22,6 @@ from .spectral import (  # noqa: F401
     l2_inner,
     l2_norm,
     laplacian,
-    project_zero_mean,
     stream_from_omega,
 )
 from .dynamics import (  # noqa: F401

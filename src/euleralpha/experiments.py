@@ -18,6 +18,7 @@ not guaranteed rates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ from .dynamics import (
     state_from_omega,
     velocity_hats_from_q,
 )
-from .integrators import SCHEMES, CflViolation, NumericsFailure, StepperConfig, advance
+from .integrators import SCHEMES, CflViolation, NumericsFailure, StepperConfig, advance, integrate
 from .output import DiagnosticsLog, snapshot_name, write_manifest, write_snapshot
-from .spectral import TorusGrid, _ifft_real, dealias, l2_norm
+from .spectral import TorusGrid, _ifft_real, l2_norm
 
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
@@ -201,7 +202,16 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     K = cfg.ic_band
     if K > grid.kmax_dealias:
         raise ConfigError(f"ic_band={K} outside the dealiased band of n={n}")
-    rng = np.random.default_rng(cfg.seed)
+    omega_hat = _random_band_hat(grid, K, cfg.seed)
+    current = _omega_energy(grid, omega_hat, cfg.alpha)
+    omega_hat *= np.sqrt(cfg.ic_energy / current)
+    return omega_hat
+
+
+def _random_band_hat(grid: TorusGrid, K: int, seed: int) -> np.ndarray:
+    """Unit-normal real/imag parts on 1 <= |k|_inf <= K, Hermitian-symmetrized, mean zero."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
     shape = (2 * K + 1, 2 * K + 1)
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     omega_hat = np.zeros((n, n), dtype=np.complex128)
@@ -210,8 +220,6 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     idx = (-np.arange(n)) % n
     omega_hat = 0.5 * (omega_hat + np.conj(omega_hat[np.ix_(idx, idx)]))
     omega_hat[0, 0] = 0.0
-    current = _omega_energy(grid, omega_hat, cfg.alpha)
-    omega_hat *= np.sqrt(cfg.ic_energy / current)
     return omega_hat
 
 
@@ -248,28 +256,20 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
     state = state_from_omega(grid, omega_hat, cfg.alpha, nu=cfg.nu)
 
     log = DiagnosticsLog()
-    final = state
-    final_step = 0
-    last_diag = last_snap = -1
-    for step, current in advance(state, cfg.t_final, cfg.stepper()):
-        final, final_step = current, step
-        if step % cfg.diag_every == 0:
-            log.append(compute_diagnostics(current, cfg.dt))
-            last_diag = step
-        if step % cfg.save_every == 0:
-            _save_snapshot(out_dir, step, current)
-            last_snap = step
-    if last_diag != final_step:
-        log.append(compute_diagnostics(final, cfg.dt))
-    if last_snap != final_step:
-        _save_snapshot(out_dir, final_step, final)
+    for step, state in advance(state, cfg.t_final, cfg.stepper()):
+        # the terminal state is always recorded, even off-cadence
+        last = state.t == cfg.t_final
+        if step % cfg.diag_every == 0 or last:
+            log.append(compute_diagnostics(state, cfg.dt))
+        if step % cfg.save_every == 0 or last:
+            _save_snapshot(out_dir, step, state)
 
     log.write(out_dir / "diagnostics.csv")
     entries = dict(config_entries(cfg))
     entries["code_version"] = __version__
     entries["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
     write_manifest(out_dir / "manifest.txt", entries)
-    return final
+    return state
 
 
 def _save_snapshot(out_dir: Path, step: int, state: SimState) -> None:
@@ -306,45 +306,32 @@ def _loglog_fit(values: Sequence[float], dists: Sequence[float]) -> tuple[float,
     return float(slope), float(np.sqrt(np.mean(resid**2)))
 
 
-def _terminal_q(args) -> np.ndarray:
+def _terminal_q(cfg: RunConfig, omega_bytes: bytes) -> np.ndarray:
     """Sweep member: integrate one configuration, return the terminal q_hat."""
-    cfg, omega_bytes, n = args
-    grid = TorusGrid(n)
-    omega_hat = np.frombuffer(omega_bytes, dtype=np.complex128).reshape(n, n)
-    q_hat = dealias(grid, (1.0 + cfg.alpha**2 * grid.K2) * omega_hat)
-    q_hat[0, 0] = 0.0
+    omega_hat = np.frombuffer(omega_bytes, dtype=np.complex128).reshape(cfg.n, cfg.n)
     if cfg.out is not None:
         return run(cfg, omega_hat=omega_hat).q_hat
-    state = SimState(grid=grid, q_hat=q_hat, alpha=cfg.alpha, nu=cfg.nu)
-    final = state
-    for _, current in advance(state, cfg.t_final, cfg.stepper()):
-        final = current
-    return final.q_hat
+    state = state_from_omega(TorusGrid(cfg.n), omega_hat, cfg.alpha, nu=cfg.nu)
+    return integrate(state, cfg.t_final, cfg.stepper()).q_hat
 
 
-def _map_members(worker_args, labels, workers: int):
+def _map_members(configs, omega_bytes: bytes, labels, workers: int):
     """Run sweep members; a failing member aborts the sweep, labeled."""
-    def _annotate(exc, label):
-        exc.args = (f"sweep member {label} failed: {exc}",)
-        return exc
+    def _collect(calls):
+        out = []
+        for label, call in zip(labels, calls):
+            try:
+                out.append(call())
+            except (CflViolation, NumericsFailure, FloatingPointError) as exc:
+                exc.args = (f"sweep member {label} failed: {exc}",)
+                raise
+        return out
 
     if workers <= 1:
-        out = []
-        for label, args in zip(labels, worker_args):
-            try:
-                out.append(_terminal_q(args))
-            except (CflViolation, NumericsFailure) as exc:
-                raise _annotate(exc, label)
-        return out
+        return _collect(functools.partial(_terminal_q, c, omega_bytes) for c in configs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_terminal_q, args) for args in worker_args]
-        out = []
-        for label, future in zip(labels, futures):
-            try:
-                out.append(future.result())
-            except (CflViolation, NumericsFailure) as exc:
-                raise _annotate(exc, label)
-        return out
+        futures = [pool.submit(_terminal_q, c, omega_bytes) for c in configs]
+        return _collect(f.result for f in futures)
 
 
 def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> float:
@@ -355,8 +342,38 @@ def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> floa
     return float(np.sqrt(total * (2.0 * np.pi) ** 2)) / grid.n**2
 
 
-def _member_out(cfg: RunConfig, label: str) -> Optional[str]:
-    return None if cfg.out is None else str(Path(cfg.out) / label)
+def _finite_list(name: str, values: Sequence[float]) -> tuple:
+    values = tuple(float(v) for v in values)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} entries must be finite, got {values}")
+    return values
+
+
+def _sweep(cfg: RunConfig, members, reference, workers: int):
+    """
+    Run ``(label, dirname, config)`` members and the reference from one
+    shared omega0; returns the grid, the members' terminal q_hats and the
+    reference's.
+    """
+    grid = TorusGrid(cfg.n)
+    omega_bytes = make_omega0(cfg, grid).tobytes()
+    runs = (*members, reference)
+    configs = [
+        c.replace(out=None if cfg.out is None else str(Path(cfg.out) / dirname))
+        for _, dirname, c in runs
+    ]
+    *q_members, q_ref = _map_members(configs, omega_bytes, [r[0] for r in runs], workers)
+    return grid, q_members, q_ref
+
+
+def _result(parameter, values, grid, q_members, q_ref, alphas, alpha_ref, weight_alpha):
+    """Distances of the members' terminal q to the reference's, with the log-log fit."""
+    d_q = tuple(l2_norm(grid, qm - q_ref) for qm in q_members)
+    d_u = tuple(
+        _u_distance(grid, qm, a, q_ref, alpha_ref, weight_alpha)
+        for qm, a in zip(q_members, alphas)
+    )
+    return SweepResult(parameter, values, d_q, d_u, *_loglog_fit(values, d_q))
 
 
 def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> SweepResult:
@@ -365,25 +382,16 @@ def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> Swee
     the inviscid (nu = 0) reference from the identical initial condition.
     """
     cfg.validate()
-    nu_list = tuple(float(v) for v in nu_list)
+    nu_list = _finite_list("nu_list", nu_list)
     if not nu_list or any(v <= 0 for v in nu_list):
         raise ConfigError("nu_list must be non-empty and positive")
     if any(b >= a for a, b in zip(nu_list, nu_list[1:])):
         raise ConfigError("nu_list must be strictly descending")
-    grid = TorusGrid(cfg.n)
-    omega_bytes = make_omega0(cfg, grid).tobytes()
-    members = [cfg.replace(nu=v, out=_member_out(cfg, f"nu_{v:g}")) for v in nu_list]
-    reference = cfg.replace(nu=0.0, out=_member_out(cfg, "nu_0"))
-    args = [(m, omega_bytes, cfg.n) for m in (*members, reference)]
-    labels = [f"nu={v:g}" for v in nu_list] + ["nu=0 (reference)"]
-    *q_members, q_ref = _map_members(args, labels, workers)
-
-    d_q = tuple(l2_norm(grid, qm - q_ref) for qm in q_members)
-    d_u = tuple(
-        _u_distance(grid, qm, cfg.alpha, q_ref, cfg.alpha, cfg.alpha) for qm in q_members
-    )
-    slope, residual = _loglog_fit(nu_list, d_q)
-    result = SweepResult("nu", nu_list, d_q, d_u, slope, residual)
+    members = [(f"nu={v:g}", f"nu_{v:g}", cfg.replace(nu=v)) for v in nu_list]
+    reference = ("nu=0 (reference)", "nu_0", cfg.replace(nu=0.0))
+    grid, q_members, q_ref = _sweep(cfg, members, reference, workers)
+    alphas = (cfg.alpha,) * len(nu_list)
+    result = _result("nu", nu_list, grid, q_members, q_ref, alphas, cfg.alpha, cfg.alpha)
     _write_sweep_summary(cfg, result)
     return result
 
@@ -395,28 +403,17 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
     its own q0 = (1 - alpha^2 Lap) omega0 from the shared omega0.
     """
     cfg.validate()
-    alpha_list = tuple(float(v) for v in alpha_list)
+    alpha_list = _finite_list("alpha_list", alpha_list)
     if not alpha_list or any(v < 0 for v in alpha_list):
         raise ConfigError("alpha_list must be non-empty and >= 0")
     if any(b >= a for a, b in zip(alpha_list, alpha_list[1:])):
         raise ConfigError("alpha_list must be strictly descending")
-    grid = TorusGrid(cfg.n)
-    omega_bytes = make_omega0(cfg, grid).tobytes()
     members = [
-        cfg.replace(alpha=v, nu=0.0, out=_member_out(cfg, f"alpha_{v:g}")) for v in alpha_list
+        (f"alpha={v:g}", f"alpha_{v:g}", cfg.replace(alpha=v, nu=0.0)) for v in alpha_list
     ]
-    reference = cfg.replace(alpha=0.0, nu=0.0, out=_member_out(cfg, "alpha_0"))
-    args = [(m, omega_bytes, cfg.n) for m in (*members, reference)]
-    labels = [f"alpha={v:g}" for v in alpha_list] + ["alpha=0 (reference)"]
-    *q_members, q_ref = _map_members(args, labels, workers)
-
-    d_q = tuple(l2_norm(grid, qm - q_ref) for qm in q_members)
-    d_u = tuple(
-        _u_distance(grid, qm, a, q_ref, 0.0, cfg.alpha)
-        for qm, a in zip(q_members, alpha_list)
-    )
-    slope, residual = _loglog_fit(alpha_list, d_q)
-    result = SweepResult("alpha", alpha_list, d_q, d_u, slope, residual)
+    reference = ("alpha=0 (reference)", "alpha_0", cfg.replace(alpha=0.0, nu=0.0))
+    grid, q_members, q_ref = _sweep(cfg, members, reference, workers)
+    result = _result("alpha", alpha_list, grid, q_members, q_ref, alpha_list, 0.0, cfg.alpha)
     _write_sweep_summary(cfg, result)
     return result
 
@@ -429,7 +426,7 @@ def splitting_order_study(
     self-convergence) against an RK4 reference at min(dt_list)/16.
     """
     cfg.validate()
-    dt_list = tuple(float(v) for v in dt_list)
+    dt_list = _finite_list("dt_list", dt_list)
     if len(dt_list) < 3 or any(v <= 0 for v in dt_list):
         raise ConfigError("dt_list needs at least 3 positive entries")
     for a, b in zip(dt_list, dt_list[1:]):
@@ -437,34 +434,22 @@ def splitting_order_study(
             raise ConfigError("dt_list must be dyadic descending (each entry half the last)")
     if cfg.nu <= 0:
         raise ConfigError("splitting order study requires nu > 0")
-    grid = TorusGrid(cfg.n)
-    omega_bytes = make_omega0(cfg, grid).tobytes()
-    dt_ref = min(dt_list) / 16.0
     schemes = ("lie_trotter", "strang", "rk4")
     members = [
-        cfg.replace(
-            scheme=s, dt=dt, out=_member_out(cfg, f"split_{s}_dt_{dt:g}")
-        )
+        (f"{s} dt={dt:g}", f"split_{s}_dt_{dt:g}", cfg.replace(scheme=s, dt=dt))
         for s in schemes
         for dt in dt_list
     ]
-    reference = cfg.replace(scheme="rk4", dt=dt_ref, out=_member_out(cfg, "split_reference"))
-    args = [(m, omega_bytes, cfg.n) for m in (*members, reference)]
-    labels = [f"{s} dt={dt:g}" for s in schemes for dt in dt_list] + ["reference"]
-    *q_members, q_ref = _map_members(args, labels, workers)
+    dt_ref = min(dt_list) / 16.0
+    reference = ("reference", "split_reference", cfg.replace(scheme="rk4", dt=dt_ref))
+    grid, q_members, q_ref = _sweep(cfg, members, reference, workers)
 
     results: dict[str, SweepResult] = {}
+    alphas = (cfg.alpha,) * len(dt_list)
     for i, s in enumerate(schemes):
         qs = q_members[i * len(dt_list): (i + 1) * len(dt_list)]
-        d_q = tuple(l2_norm(grid, qm - q_ref) for qm in qs)
-        d_u = tuple(
-            _u_distance(grid, qm, cfg.alpha, q_ref, cfg.alpha, cfg.alpha) for qm in qs
-        )
-        slope, residual = _loglog_fit(dt_list, d_q)
-        results[s] = SweepResult(f"dt[{s}]", dt_list, d_q, d_u, slope, residual)
-    if cfg.out is not None:
-        for s, res in results.items():
-            _write_sweep_summary(cfg, res, filename=f"sweep_summary_{s}.csv")
+        results[s] = _result(f"dt[{s}]", dt_list, grid, qs, q_ref, alphas, cfg.alpha, cfg.alpha)
+        _write_sweep_summary(cfg, results[s], filename=f"sweep_summary_{s}.csv")
     return results
 
 

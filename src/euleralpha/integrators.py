@@ -145,6 +145,33 @@ STEPPERS: dict[str, Callable[..., SimState]] = {
 }
 
 
+def _march(state: SimState, t_final: float, dt: float, step: Callable):
+    """
+    Generate ``(step_index, state)`` pairs from ``state.t`` to ``t_final``
+    with ``step(state, dt)``.
+
+    The final partial step is shortened so the last state lands exactly on
+    t_final; every earlier state has t < t_final. Non-finite states abort
+    with :class:`NumericsFailure`.
+    """
+    if t_final < state.t:
+        raise ValueError(f"t_final={t_final} precedes the state time {state.t}")
+    t0 = state.t
+    atol = _TIME_ATOL * max(1.0, abs(t_final))
+    k = 0
+    yield k, state
+    while t_final - state.t > atol:
+        state = step(state, min(dt, t_final - state.t))
+        k += 1
+        # land on the exact step grid: accumulation drift would otherwise
+        # leave the end time (and sweep comparability) off by roundoff
+        t_exact = t0 + k * dt
+        state = state.replace(t=t_final if t_final - t_exact <= atol else t_exact)
+        if not np.all(np.isfinite(state.q_hat)):
+            raise NumericsFailure(state.t)
+        yield k, state
+
+
 def advance(state: SimState, t_final: float, config: StepperConfig):
     """
     Generate ``(step_index, state)`` pairs from ``state.t`` to ``t_final``.
@@ -152,24 +179,8 @@ def advance(state: SimState, t_final: float, config: StepperConfig):
     The final partial step is shortened so the last state lands exactly on
     t_final. Non-finite states abort with :class:`NumericsFailure`.
     """
-    if t_final < state.t:
-        raise ValueError(f"t_final={t_final} precedes the state time {state.t}")
     stepper = STEPPERS[config.scheme]
-    t0 = state.t
-    atol = _TIME_ATOL * max(1.0, abs(t_final))
-    step = 0
-    yield step, state
-    while t_final - state.t > atol:
-        dt = min(config.dt, t_final - state.t)
-        state = stepper(state, dt, config.cfl_limit)
-        step += 1
-        # land on the exact step grid: accumulation drift would otherwise
-        # leave the end time (and sweep comparability) off by roundoff
-        t_exact = t0 + step * config.dt
-        state = state.replace(t=t_final if t_final - t_exact <= atol else t_exact)
-        if not np.all(np.isfinite(state.q_hat)):
-            raise NumericsFailure(state.t)
-        yield step, state
+    yield from _march(state, t_final, config.dt, lambda s, dt: stepper(s, dt, config.cfl_limit))
 
 
 def integrate(
@@ -186,16 +197,7 @@ def integrate(
     ``observe_every``-th step, and at the final step. Returns the final
     state (t == t_final exactly).
     """
-    final = state
-    final_step = 0
-    last_observed = -1
-    for step, current in advance(state, t_final, config):
-        final = current
-        final_step = step
-        if observer is not None and step % observe_every == 0:
-            observer(step, current, compute_diagnostics(current, config.dt))
-            last_observed = step
-    if observer is not None and last_observed != final_step:
-        # the terminal state is always reported, even off-cadence
-        observer(final_step, final, compute_diagnostics(final, config.dt))
-    return final
+    for step, state in advance(state, t_final, config):
+        if observer is not None and (step % observe_every == 0 or state.t == t_final):
+            observer(step, state, compute_diagnostics(state, config.dt))
+    return state

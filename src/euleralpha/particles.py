@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import SimState, velocity_hats_from_q
-from .integrators import step_rk4
+from .integrators import NumericsFailure, _march, step_rk4
 from .spectral import TorusGrid
 
 
@@ -75,8 +75,16 @@ def eval_velocity_at(
     return out
 
 
-def _stage_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    return velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
+def _half_steps(state: SimState, dt: float, cfl_limit: Optional[float]):
+    """Two Eulerian half steps over dt: the state at t + dt and the three stage velocities."""
+    half = step_rk4(state, 0.5 * dt, cfl_limit)
+    full = step_rk4(half, 0.5 * dt, cfl_limit)
+    # a non-finite value at t or t + dt/2 carries through to t + dt; stop
+    # before any marker is moved by it
+    if not np.all(np.isfinite(full.q_hat)):
+        raise NumericsFailure(full.t)
+    stages = tuple(velocity_hats_from_q(s.grid, s.q_hat, s.alpha) for s in (state, half, full))
+    return full, stages
 
 
 def advect_particles(
@@ -92,13 +100,12 @@ def advect_particles(
     The velocity is frozen per substage from the concurrently integrated
     Eulerian state: stages use u at t, t + dt/2 and t + dt. ``stages`` may
     supply those three spectral velocity pairs (as produced by a coupled
-    driver); otherwise they are computed here by two Eulerian half steps.
+    driver); otherwise they are computed here by two Eulerian half steps,
+    and a non-finite field raises :class:`NumericsFailure`.
     """
     grid = state.grid
     if stages is None:
-        half = step_rk4(state, 0.5 * dt, cfl_limit)
-        full = step_rk4(half, 0.5 * dt, cfl_limit)
-        stages = (_stage_hats(state), _stage_hats(half), _stage_hats(full))
+        _, stages = _half_steps(state, dt, cfl_limit)
     u0, u_half, u1 = stages
 
     x = pm.positions
@@ -123,23 +130,17 @@ def integrate_with_particles(
 
     The Eulerian field advances by half steps of dt/2 so each marker RK4
     step sees u at t, t + dt/2, t + dt. The final partial step is
-    shortened. Returns ``(state, pm)`` at t_final.
+    shortened. A non-finite field raises :class:`NumericsFailure` before
+    the markers move. Returns ``(state, pm)`` at t_final.
     """
-    if t_final < state.t:
-        raise ValueError(f"t_final={t_final} precedes the state time {state.t}")
-    t0 = state.t
-    atol = 1e-12 * max(1.0, abs(t_final))
-    step = 0
-    while t_final - state.t > atol:
-        step_dt = min(dt, t_final - state.t)
-        half = step_rk4(state, 0.5 * step_dt, cfl_limit)
-        full = step_rk4(half, 0.5 * step_dt, cfl_limit)
-        stages = (_stage_hats(state), _stage_hats(half), _stage_hats(full))
-        pm = advect_particles(pm, state, step_dt, stages=stages)
-        step += 1
-        t_exact = t0 + step * dt
-        state = full.replace(t=t_final if t_final - t_exact <= atol else t_exact)
-        if observer is not None:
+    def coupled(s: SimState, step_dt: float) -> SimState:
+        nonlocal pm
+        full, stages = _half_steps(s, step_dt, cfl_limit)
+        pm = advect_particles(pm, s, step_dt, stages=stages)
+        return full
+
+    for k, state in _march(state, t_final, dt, coupled):
+        if observer is not None and k > 0:
             observer(state, pm)
     return state, pm
 

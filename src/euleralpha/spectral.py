@@ -109,10 +109,6 @@ class TorusGrid:
         s(self, "kmax_dealias", int(np.ceil(cut)) - 1)
         s(self, "h", 2.0 * np.pi / n)
 
-    def multiplier(self, func) -> np.ndarray:
-        """Evaluate ``func(kx, ky)`` on the wavenumber mesh."""
-        return func(self.KX, self.KY)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -169,22 +165,6 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.abs(coeffs - np.conj(reflected)).max())
 
 
-def apply_multiplier(coeffs: np.ndarray, m) -> np.ndarray:
-    """
-    Multiply coefficients by a Fourier multiplier.
-
-    ``m`` may be an ``(n, n)`` array over the wavenumber mesh or a callable
-    ``m(KX, KY)``; all multipliers used here are even in k, which preserves
-    Hermitian symmetry.
-    """
-    if callable(m):
-        n = coeffs.shape[0]
-        k1 = np.fft.fftfreq(n, 1.0 / n)
-        KX, KY = np.meshgrid(k1, k1, indexing="ij")
-        m = m(KX, KY)
-    return coeffs * m
-
-
 def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Spectral Laplacian, multiplier ``-k**2``."""
     return -grid.K2 * coeffs
@@ -234,13 +214,6 @@ def stream_from_omega(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
 def dealias(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Zero all modes outside the 2/3-rule mask (idempotent)."""
     return coeffs * grid.dealias_mask
-
-
-def project_zero_mean(coeffs: np.ndarray) -> np.ndarray:
-    """Return a copy with the k = 0 mode pinned to zero."""
-    out = coeffs.copy()
-    out[0, 0] = 0.0
-    return out
 
 
 def integral(grid: TorusGrid, coeffs: np.ndarray) -> float:

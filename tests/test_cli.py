@@ -88,6 +88,18 @@ class TestSweepCommands:
         out = capsys.readouterr().out
         assert "[lie_trotter]" in out and "[strang]" in out and "[rk4]" in out
 
+    @pytest.mark.parametrize("command, flag, values", [
+        ("sweep-nu", "--nu-list", "nan,1e-3"),
+        ("sweep-alpha", "--alpha-list", "inf,0.1"),
+        ("splitting-order", "--dt-list", "nan,0.01,0.005"),
+    ])
+    def test_nonfinite_list_entry_is_config_error(self, command, flag, values, capsys):
+        code = main([command, "--n", "16", "--nu", "0.01", "--t-final", "0.01", flag, values])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_all_checks_pass(self, capsys):

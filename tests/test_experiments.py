@@ -181,6 +181,19 @@ class TestRun:
         snap_b = (tmp_path / "b" / snapshot_name(10)).read_bytes()
         assert snap_a == snap_b
 
+    def test_terminal_state_recorded_off_cadence(self, tmp_path):
+        # 3.5 steps of dt=0.02: rows at steps 0, 2 and the partial step 4;
+        # snapshots at steps 0, 3 and 4
+        cfg = self._tiny_cfg(tmp_path, n=16, dt=0.02, t_final=0.07,
+                             diag_every=2, save_every=3)
+        run(cfg)
+        out = tmp_path / "out"
+        assert list(read_diagnostics(out / "diagnostics.csv")["t"]) == [0.0, 0.04, 0.07]
+        assert sorted(p.name for p in out.glob("snap_*.eaf")) == [
+            snapshot_name(step) for step in (0, 3, 4)
+        ]
+        assert read_snapshot(out / snapshot_name(4)).time == 0.07
+
     def test_diagnostics_csv_round_trips_exact_floats(self, tmp_path):
         cfg = self._tiny_cfg(tmp_path, ic="random_bandlimited")
         run(cfg)
@@ -267,6 +280,8 @@ class TestSweepNu:
             sweep_nu(cfg, (1e-3, 1e-2))  # ascending
         with pytest.raises(ConfigError):
             sweep_nu(cfg, (1e-3, -1e-4))
+        with pytest.raises(ConfigError, match="finite"):
+            sweep_nu(cfg, (float("nan"), 1e-3))
 
     def test_parallel_workers_match_serial(self):
         cfg = _sweep_cfg(t_final=0.2)
@@ -301,6 +316,10 @@ class TestSweepAlpha:
         res = sweep_alpha(cfg, (0.0,))
         assert res.distances_q[0] == 0.0
 
+    def test_nonfinite_entry_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            sweep_alpha(_sweep_cfg(), (float("inf"), 0.1))
+
     def test_members_forced_inviscid(self):
         cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, alpha=0.25,
                          nu=0.05, t_final=0.2)
@@ -325,6 +344,8 @@ class TestSplittingOrderStudy:
             splitting_order_study(_sweep_cfg(nu=0.0), (0.04, 0.02, 0.01))
         with pytest.raises(ConfigError, match="3 positive"):
             splitting_order_study(cfg, (0.04, 0.02))
+        with pytest.raises(ConfigError, match="finite"):
+            splitting_order_study(cfg, (float("nan"), 0.01, 0.005))
 
 
 class TestSweepFailurePropagation:
@@ -335,3 +356,14 @@ class TestSweepFailurePropagation:
         cfg = _sweep_cfg(ic_amplitude=100.0, dt=0.1, t_final=0.5)
         with pytest.raises(CflViolation, match=r"sweep member nu=0\.001"):
             sweep_nu(cfg, (1e-3,))
+
+    def test_energy_cross_check_failure_names_member(self, tmp_path, monkeypatch):
+        from euleralpha import experiments
+
+        def disagree(state, dt=None):
+            raise FloatingPointError("energy quadratures disagree")
+
+        monkeypatch.setattr(experiments, "compute_diagnostics", disagree)
+        cfg = _sweep_cfg(t_final=0.05, out=str(tmp_path))
+        with pytest.raises(FloatingPointError, match=r"sweep member nu=0\.001 failed"):
+            sweep_nu(cfg, (1e-3,), workers=1)

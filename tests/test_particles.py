@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from euleralpha.dynamics import compute_diagnostics, velocity_hats_from_q
+from euleralpha.integrators import NumericsFailure
 from euleralpha.particles import (
     ParticleMap,
     advect_particles,
@@ -237,3 +238,28 @@ class TestCoupledIntegration:
         # u_y = 15 sin(2x): at x=pi/4 the marker travels +15 in y
         assert out.positions[0, 1] == pytest.approx(20.0, rel=1e-9)
         assert out.positions[0, 1] > 2 * np.pi
+
+    def test_lands_on_target_and_observes_every_step(self, grid16):
+        state = random_state(grid16, alpha=0.25, seed=7)
+        times = []
+        out, _ = integrate_with_particles(
+            state, ParticleMap.lattice(4), 0.13, dt=0.025,
+            observer=lambda s, p: times.append(s.t),
+        )
+        assert out.t == 0.13
+        assert len(times) == 6 and times[-1] == 0.13
+
+    def test_rejects_backward_target(self, grid16):
+        state = random_state(grid16, alpha=0.25, seed=7).replace(t=1.0)
+        with pytest.raises(ValueError, match="precedes"):
+            integrate_with_particles(state, ParticleMap.lattice(4), 0.5, dt=0.025)
+
+    @pytest.mark.parametrize("cfl_limit", [0.5, None])
+    def test_nonfinite_field_is_numerics_failure(self, grid16, cfl_limit):
+        state = random_state(grid16, alpha=0.25, seed=7)
+        bad = state.replace(q_hat=state.q_hat * np.nan)
+        pm = ParticleMap.lattice(4)
+        with pytest.raises(NumericsFailure):
+            integrate_with_particles(bad, pm, 0.1, dt=0.025, cfl_limit=cfl_limit)
+        with pytest.raises(NumericsFailure):
+            advect_particles(pm, bad, 0.025, cfl_limit=cfl_limit)

@@ -7,7 +7,6 @@ import pytest
 
 from euleralpha.spectral import (
     TorusGrid,
-    apply_multiplier,
     ddx,
     ddy,
     dealias,
@@ -19,7 +18,6 @@ from euleralpha.spectral import (
     inverse_transform,
     l2_norm,
     laplacian,
-    project_zero_mean,
     stream_from_omega,
 )
 
@@ -56,10 +54,6 @@ class TestTorusGrid:
             g = TorusGrid(n)
             assert not g.dealias_mask[n // 2, :].any()
             assert not g.dealias_mask[:, n // 2].any()
-
-    def test_multiplier_helper(self, grid16):
-        m = grid16.multiplier(lambda kx, ky: kx**2 + ky**2)
-        assert np.array_equal(m, grid16.K2)
 
 
 class TestTransforms:
@@ -110,15 +104,6 @@ class TestMultipliers:
         F = forward_transform(np.cos(2 * grid16.X))
         filtered = inverse_transform(inverse_helmholtz(grid16, F, alpha=0.5))
         assert np.abs(filtered - 0.5 * np.cos(2 * grid16.X)).max() <= 1e-13
-
-    def test_identity_multiplier(self, grid16):
-        F = random_band_hat(grid16, 4, seed=5)
-        assert np.array_equal(apply_multiplier(F, np.ones((16, 16))), F)
-
-    def test_callable_multiplier(self, grid16):
-        F = random_band_hat(grid16, 4, seed=6)
-        out = apply_multiplier(F, lambda kx, ky: -(kx**2 + ky**2))
-        assert np.allclose(out, laplacian(grid16, F))
 
     def test_multipliers_commute(self, grid32):
         F = random_band_hat(grid32, 9, seed=7)
@@ -199,9 +184,3 @@ class TestIntegrals:
         # int cos^2(2x) dx dy = (2pi)^2 / 2
         F = forward_transform(np.cos(2 * grid16.X))
         assert l2_norm(grid16, F) == pytest.approx(np.sqrt(2.0 * np.pi**2), rel=1e-13)
-
-    def test_project_zero_mean(self, grid16):
-        F = forward_transform(np.cos(grid16.X) + 3.0)
-        out = project_zero_mean(F)
-        assert out[0, 0] == 0.0
-        assert F[0, 0] != 0.0  # original untouched
