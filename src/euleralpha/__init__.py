@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .spectral import (  # noqa: F401
     TorusGrid,
-    VectorField,
     dealias,
     ddx,
     ddy,
@@ -27,16 +26,13 @@ from .spectral import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     Diagnostics,
     SimState,
-    ad_star,
     ad_star_hats,
     compute_diagnostics,
     energy_quadrature,
-    leray_project,
     leray_project_hats,
     omega_from_q,
     rhs_vorticity,
     state_from_omega,
-    velocity_from_q,
     velocity_hats_from_q,
 )
 from .integrators import (  # noqa: F401

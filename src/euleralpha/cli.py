@@ -10,10 +10,12 @@ failure (CFL violation / non-finite state), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .experiments import (
     ConfigError,
+    RunConfig,
     load_config,
     run,
     splitting_order_study,
@@ -27,29 +29,8 @@ EXIT_CONFIG = 1
 EXIT_NUMERICS = 2
 EXIT_IO = 3
 
-_FLAGS = (
-    # (flag, config key)
-    ("--n", "n"),
-    ("--alpha", "alpha"),
-    ("--nu", "nu"),
-    ("--dt", "dt"),
-    ("--t-final", "t_final"),
-    ("--scheme", "scheme"),
-    ("--ic", "ic"),
-    ("--ic-kx", "ic_kx"),
-    ("--ic-ky", "ic_ky"),
-    ("--ic-band", "ic_band"),
-    ("--ic-energy", "ic_energy"),
-    ("--ic-amplitude", "ic_amplitude"),
-    ("--seed", "seed"),
-    ("--out", "out"),
-    ("--save-every", "save_every"),
-    ("--diag-every", "diag_every"),
-    ("--workers", "workers"),
-    ("--nu-list", "nu_list"),
-    ("--alpha-list", "alpha_list"),
-    ("--dt-list", "dt_list"),
-)
+# (flag, config key): one flag per RunConfig field
+_FLAGS = tuple(("--" + f.name.replace("_", "-"), f.name) for f in dataclasses.fields(RunConfig))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

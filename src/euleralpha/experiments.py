@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .integrators import SCHEMES, CflViolation, NumericsFailure, StepperConfig, advance, integrate
 from .output import DiagnosticsLog, snapshot_name, write_manifest, write_snapshot
-from .spectral import TorusGrid, _ifft_real, l2_norm
+from .spectral import TorusGrid, _ifft_real, forward_transform, helmholtz, l2_norm
 
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
@@ -99,6 +99,8 @@ class RunConfig:
             raise ConfigError(f"ic_energy must be positive, got {self.ic_energy}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.out is not None and not self.out.strip():
+            raise ConfigError("out must name a directory, got an empty value")
         return self
 
     def replace(self, **changes) -> "RunConfig":
@@ -142,6 +144,8 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
     return entries
 
@@ -194,10 +198,10 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
         if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
             raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
         omega = cfg.ic_amplitude * np.cos(k[0] * grid.X + k[1] * grid.Y)
-        return np.fft.fft2(omega)
+        return forward_transform(omega)
     if cfg.ic == "taylor_green":
         omega = cfg.ic_amplitude * 2.0 * np.cos(grid.X) * np.cos(grid.Y)
-        return np.fft.fft2(omega)
+        return forward_transform(omega)
     # random_bandlimited
     K = cfg.ic_band
     if K > grid.kmax_dealias:
@@ -224,8 +228,7 @@ def _random_band_hat(grid: TorusGrid, K: int, seed: int) -> np.ndarray:
 
 
 def _omega_energy(grid: TorusGrid, omega_hat: np.ndarray, alpha: float) -> float:
-    q_hat = (1.0 + alpha**2 * grid.K2) * omega_hat
-    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, alpha)
+    ux_hat, uy_hat = velocity_hats_from_q(grid, helmholtz(grid, omega_hat, alpha), alpha)
     return energy_hats(grid, ux_hat, uy_hat, alpha)
 
 

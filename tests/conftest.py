@@ -5,7 +5,7 @@ import pytest
 
 from euleralpha.dynamics import SimState, state_from_omega
 from euleralpha.particles import ParticleMap, jacobian_determinant
-from euleralpha.spectral import TorusGrid
+from euleralpha.spectral import TorusGrid, ddx, ddy, forward_transform, inverse_transform
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +67,17 @@ def extrapolated_determinant(coarse: ParticleMap, fine: ParticleMap) -> np.ndarr
     det_m = jacobian_determinant(coarse).det
     det_2m = jacobian_determinant(fine).det[::2, ::2]
     return ((4.0 * det_2m - det_m) / 3.0)[1:-1, 1:-1]
+
+
+def spectral_determinant(pm: ParticleMap) -> np.ndarray:
+    """
+    det(D eta) on the m x m lattice from spectral derivatives of the
+    displacement eta(a) - a, which is periodic in the label a: the solver's
+    ``ddx``/``ddy`` (Nyquist zeroed) on a ``TorusGrid(m)`` whose axes are
+    the two label directions.
+    """
+    grid = TorusGrid(pm.m)
+    d = pm.displacements().reshape(pm.m, pm.m, 2)
+    hats = [forward_transform(d[:, :, c]) for c in (0, 1)]
+    dxda, dxdb, dyda, dydb = (inverse_transform(op(grid, h)) for h in hats for op in (ddx, ddy))
+    return (1.0 + dxda) * (1.0 + dydb) - dxdb * dyda

@@ -49,6 +49,22 @@ class TestRunCommand:
         code = main(["run", "--n", "32", "--ic", "single_mode", "--t-final", "0.01"])
         assert code == 1
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_out_is_config_error(self, spelling, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["run", "--n", "16", "--ic", "single_mode", "--t-final", "0.01"]
+        if spelling == "flag":
+            args += ["--out", ""]
+        else:
+            (tmp_path / "exp.cfg").write_text("out =\n")
+            args += ["--config", "exp.cfg"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if spelling == "flag" else ["exp.cfg"]
+        )
+
     def test_cfl_violation_exit_2(self, tmp_path, capsys):
         # amplitude 100 -> max|u| = 50, dt = 0.1 -> CFL ~ 25 >> 0.5
         code = main(run_args(tmp_path, ic_amplitude="100", dt="0.1", t_final="1.0"))

@@ -12,23 +12,21 @@ import pytest
 
 from euleralpha.dynamics import (
     SimState,
-    ad_star,
     ad_star_hats,
     compute_diagnostics,
     energy_quadrature,
-    leray_project,
     leray_project_hats,
     omega_from_q,
     rhs_vorticity,
     state_from_omega,
-    velocity_from_q,
     velocity_hats_from_q,
 )
 from euleralpha.spectral import (
-    VectorField,
     dealias,
     forward_transform,
     helmholtz,
+    hermitian_defect,
+    inverse_helmholtz,
     l2_inner,
     l2_norm,
     stream_from_omega,
@@ -40,6 +38,16 @@ from conftest import random_band_hat, random_state
 def single_shell_state(grid, alpha, nu=0.0, k=2):
     """omega0 = cos(k x): an exact steady state of the inviscid dynamics."""
     return state_from_omega(grid, forward_transform(np.cos(k * grid.X)), alpha, nu=nu)
+
+
+def physical(*hats):
+    """Real physical samples of each spectral field."""
+    return tuple(np.fft.ifft2(h).real for h in hats)
+
+
+def peak_speed(ux, uy):
+    """Max pointwise |u| of physical samples."""
+    return np.hypot(ux, uy).max()
 
 
 class TestSimState:
@@ -73,8 +81,8 @@ class TestOmegaFromQ:
 
 class TestVelocityFromQ:
     def test_zero_q_zero_velocity(self, grid16):
-        u = velocity_from_q(grid16, np.zeros((16, 16), dtype=complex), 0.5)
-        assert not u.ux.any() and not u.uy.any()
+        ux, uy = physical(*velocity_hats_from_q(grid16, np.zeros((16, 16), dtype=complex), 0.5))
+        assert not ux.any() and not uy.any()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_single_shell_closed_form(self, grid32, alpha):
@@ -84,9 +92,9 @@ class TestVelocityFromQ:
         assert np.allclose(
             np.fft.ifft2(psi).real, np.cos(2 * grid32.X) / 4.0, atol=1e-13
         )
-        u = velocity_from_q(grid32, state.q_hat, alpha)
-        assert np.abs(u.ux).max() <= 1e-13
-        assert np.abs(u.uy - np.sin(2 * grid32.X) / 2.0).max() <= 1e-13
+        ux, uy = physical(*velocity_hats_from_q(grid32, state.q_hat, alpha))
+        assert np.abs(ux).max() <= 1e-13
+        assert np.abs(uy - np.sin(2 * grid32.X) / 2.0).max() <= 1e-13
 
     def test_curl_recovers_omega(self, grid32):
         q = dealias(grid32, random_band_hat(grid32, 6, seed=3))
@@ -101,8 +109,14 @@ class TestVelocityFromQ:
         q[0, 0] = 0.0
         ux_hat, uy_hat = velocity_hats_from_q(grid32, q, 0.25)
         div = 1j * grid32.KX * ux_hat + 1j * grid32.KY * uy_hat
-        u = velocity_from_q(grid32, q, 0.25)
-        assert np.abs(div).max() <= 1e-10 * u.max_speed()
+        assert np.abs(div).max() <= 1e-10 * peak_speed(*physical(ux_hat, uy_hat))
+
+    def test_nyquist_row_gives_real_velocity(self, grid32):
+        # cos(x + 16y) puts energy on the unpaired ky = -16 row; the derivative
+        # zeroes that wavenumber, so both components stay real fields' coefficients
+        q = forward_transform(np.cos(grid32.X + 16 * grid32.Y))
+        for coeffs in velocity_hats_from_q(grid32, q, 0.0):
+            assert hermitian_defect(coeffs) <= 1e-9 * (1 + np.abs(coeffs).max())
 
 
 class TestRhsVorticity:
@@ -155,31 +169,25 @@ class TestLerayProjection:
     def test_fixes_divergence_free_fields(self, grid32):
         q = dealias(grid32, random_band_hat(grid32, 6, seed=8))
         q[0, 0] = 0.0
-        u = velocity_from_q(grid32, q, 0.3)
-        pu = leray_project(u)
-        assert np.abs(pu.ux - u.ux).max() <= 1e-12 * u.max_speed()
-        assert np.abs(pu.uy - u.uy).max() <= 1e-12 * u.max_speed()
+        u_hats = velocity_hats_from_q(grid32, q, 0.3)
+        ux, uy = physical(*u_hats)
+        pux, puy = physical(*leray_project_hats(grid32, *u_hats))
+        assert np.abs(pux - ux).max() <= 1e-12 * peak_speed(ux, uy)
+        assert np.abs(puy - uy).max() <= 1e-12 * peak_speed(ux, uy)
 
     def test_idempotent(self, grid32):
-        w = VectorField(
-            grid=grid32,
-            ux=np.fft.ifft2(random_band_hat(grid32, 6, seed=9)).real,
-            uy=np.fft.ifft2(random_band_hat(grid32, 6, seed=10)).real,
-        )
-        once = leray_project(w)
-        twice = leray_project(once)
-        assert np.abs(twice.ux - once.ux).max() <= 1e-12 * once.max_speed()
+        w_hats = random_band_hat(grid32, 6, seed=9), random_band_hat(grid32, 6, seed=10)
+        once = leray_project_hats(grid32, *w_hats)
+        twice = leray_project_hats(grid32, *once)
+        once_x, once_y = physical(*once)
+        twice_x, _ = physical(*twice)
+        assert np.abs(twice_x - once_x).max() <= 1e-12 * peak_speed(once_x, once_y)
 
     def test_output_orthogonal_to_gradients(self, grid32):
         # <P w, grad p> = 0 in L2 for random w and p
-        w = VectorField(
-            grid=grid32,
-            ux=np.fft.ifft2(random_band_hat(grid32, 6, seed=11)).real,
-            uy=np.fft.ifft2(random_band_hat(grid32, 6, seed=12)).real,
-        )
-        pw = leray_project(w)
+        w_hats = random_band_hat(grid32, 6, seed=11), random_band_hat(grid32, 6, seed=12)
+        pwx, pwy = leray_project_hats(grid32, *w_hats)
         p_hat = random_band_hat(grid32, 6, seed=13)
-        pwx, pwy = pw.hats()
         inner = l2_inner(grid32, pwx, 1j * grid32.KX * p_hat) + l2_inner(
             grid32, pwy, 1j * grid32.KY * p_hat
         )
@@ -190,8 +198,8 @@ class TestLerayProjection:
 class TestAdStar:
     def test_zero_state(self, grid16):
         state = SimState(grid=grid16, q_hat=np.zeros((16, 16), dtype=complex), alpha=0.5)
-        out = ad_star(state)
-        assert not out.ux.any() and not out.uy.any()
+        hx, hy = physical(*ad_star_hats(state))
+        assert not hx.any() and not hy.any()
 
     def test_single_shell_curl_free_acceleration(self, grid32):
         # du/dt = -ad*_u u must carry zero curl-content, matching rhs = 0
@@ -213,9 +221,13 @@ class TestAdStar:
         assert l2_norm(grid32, lhs - rhs) <= 1e-10 * l2_norm(grid32, rhs)
 
     def test_projection_filter_orders_agree(self, grid32):
-        state = random_state(grid32, alpha=0.25, seed=24)
-        ax, ay = ad_star_hats(state, project_first=True)
-        bx, by = ad_star_hats(state, project_first=False)
+        # ad*_u u projects, then filters: both are Fourier multipliers, so they commute
+        wx, wy = random_band_hat(grid32, 6, seed=24), random_band_hat(grid32, 6, seed=26)
+        px, py = leray_project_hats(grid32, wx, wy)
+        ax, ay = inverse_helmholtz(grid32, px, 0.25), inverse_helmholtz(grid32, py, 0.25)
+        bx, by = leray_project_hats(
+            grid32, inverse_helmholtz(grid32, wx, 0.25), inverse_helmholtz(grid32, wy, 0.25)
+        )
         scale = max(np.abs(ax).max(), np.abs(ay).max())
         assert np.abs(ax - bx).max() <= 1e-11 * scale
         assert np.abs(ay - by).max() <= 1e-11 * scale

@@ -52,6 +52,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key=value"):
             parse_config_text("n 32")
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'n'"):
+            parse_config_text("n = 16\nalpha = 0.5\nn = 32\n")
+
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n = 32\nalpha = 0.5\n")
@@ -72,6 +76,11 @@ class TestConfigParsing:
             load_config(None, {"ic": "vortex_pair"})
         with pytest.raises(ConfigError):
             load_config(None, {"dt": "-0.1"})
+
+    @pytest.mark.parametrize("out", ["", "   "])
+    def test_empty_out_rejected(self, out):
+        with pytest.raises(ConfigError, match="out must name a directory"):
+            RunConfig(out=out).validate()
 
     def test_list_coercion(self):
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
