@@ -4,7 +4,8 @@ Command-line driver.
 Subcommands: ``run``, ``sweep-nu``, ``sweep-alpha``, ``splitting-order``,
 ``check``. Every config key has a matching flag; a flag overrides the
 config file. Exit status: 0 success, 1 configuration error, 2 numerical
-failure (CFL violation / non-finite state), 3 I/O error.
+failure (CFL violation / non-finite state), 3 I/O or system error
+(including a sweep worker that died).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .experiments import (
     ConfigError,
@@ -142,6 +144,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenProcessPool as exc:
+        print(f"system error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

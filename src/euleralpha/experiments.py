@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -245,6 +246,11 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
     """
     Integrate the configured problem, writing diagnostics CSV, snapshots,
     and a run manifest into ``cfg.out``. Returns the final state.
+
+    A run stopped by :class:`CflViolation`, :class:`NumericsFailure` or
+    ``FloatingPointError`` still writes the rows logged so far, and a
+    manifest with ``status = failed``, ``failed_at_t`` and ``reason``;
+    the exception is then re-raised.
     """
     cfg.validate()
     if cfg.out is None:
@@ -259,20 +265,32 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
     state = state_from_omega(grid, omega_hat, cfg.alpha, nu=cfg.nu)
 
     log = DiagnosticsLog()
-    for step, state in advance(state, cfg.t_final, cfg.stepper()):
-        # the terminal state is always recorded, even off-cadence
-        last = state.t == cfg.t_final
-        if step % cfg.diag_every == 0 or last:
-            log.append(compute_diagnostics(state, cfg.dt))
-        if step % cfg.save_every == 0 or last:
-            _save_snapshot(out_dir, step, state)
+    try:
+        for step, state in advance(state, cfg.t_final, cfg.stepper()):
+            # the terminal state is always recorded, even off-cadence
+            last = state.t == cfg.t_final
+            if step % cfg.diag_every == 0 or last:
+                log.append(compute_diagnostics(state, cfg.dt))
+            if step % cfg.save_every == 0 or last:
+                _save_snapshot(out_dir, step, state)
+    except (CflViolation, NumericsFailure, FloatingPointError) as exc:
+        # a FloatingPointError carries no time: it came from the last state
+        failed_at_t = getattr(exc, "t", state.t)
+        _write_record(out_dir, cfg, log, started,
+                      status="failed", failed_at_t=failed_at_t, reason=str(exc))
+        raise
+    _write_record(out_dir, cfg, log, started)
+    return state
 
+
+def _write_record(out_dir: Path, cfg: RunConfig, log: DiagnosticsLog, started: float, **failure):
+    """The diagnostics CSV and the manifest; ``failure`` entries end a failed run's manifest."""
     log.write(out_dir / "diagnostics.csv")
     entries = dict(config_entries(cfg))
     entries["code_version"] = __version__
     entries["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
+    entries.update(failure)
     write_manifest(out_dir / "manifest.txt", entries)
-    return state
 
 
 def _save_snapshot(out_dir: Path, step: int, state: SimState) -> None:
@@ -325,7 +343,7 @@ def _map_members(configs, omega_bytes: bytes, labels, workers: int):
         for label, call in zip(labels, calls):
             try:
                 out.append(call())
-            except (CflViolation, NumericsFailure, FloatingPointError) as exc:
+            except (CflViolation, NumericsFailure, FloatingPointError, BrokenProcessPool) as exc:
                 exc.args = (f"sweep member {label} failed: {exc}",)
                 raise
         return out

@@ -9,8 +9,11 @@ label and finite-difference stencils for det(D eta) are well defined.
 Off-grid velocities come from the exact trigonometric interpolant of the
 spectral field, evaluated by direct Fourier summation over the unmasked
 (2/3-rule) modes: evolving states carry no energy outside the mask, so
-this is exact for them, spectrally accurate in general, and costs
-O(M n^2) per evaluation, which is fine at desk scale.
+this is exact for them and spectrally accurate in general. Hermitian
+symmetry halves the sum (ky >= 0 only), and the exponentials come from
+powers of exp(ix) and exp(iy), two complex exponentials per point. One
+evaluation of M points costs about 0.45 M n^2 complex multiply-adds in a
+single matrix product, which is fine at desk scale.
 """
 
 from __future__ import annotations
@@ -56,23 +59,36 @@ def eval_velocity_at(
     ``u_hats`` are the spectral coefficients of (u_x, u_y); ``points`` is
     an (M, 2) array. Returns an (M, 2) array of velocities. Summation runs
     over the unmasked modes only.
+
+    The coefficients must be Hermitian, ``c(-k) == conj(c(k))``, as those
+    of every real field are: the sum runs over ky >= 0 only, with weight 2
+    for ky > 0, and keeps its real part. A non-Hermitian input gives the
+    real part of a different field, without an error.
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError("evaluation points must be finite")
     kmax = grid.kmax_dealias
-    kvec = np.arange(-kmax, kmax + 1)
-    idx = kvec % grid.n
-    # series amplitudes of the retained block, ordered -kmax..kmax
-    sub = np.ix_(idx, idx)
-    scale = 1.0 / grid.n**2
-    ex = np.exp(1j * np.outer(points[:, 0], kvec))
-    ey = np.exp(1j * np.outer(points[:, 1], kvec))
-    out = np.empty((points.shape[0], 2))
-    for comp, coeffs in enumerate(u_hats):
-        block = coeffs[sub] * scale
-        out[:, comp] = ((ex @ block) * ey).sum(axis=1).real
-    return out
+    m = points.shape[0]
+    # series amplitudes of the retained kx = -kmax..kmax, ky = 0..kmax
+    # block, ky > 0 doubled; u_x's and u_y's side by side
+    kx = np.arange(-kmax, kmax + 1) % grid.n
+    ky = np.arange(kmax + 1)
+    weight = np.where(ky == 0, 1.0, 2.0) / grid.n**2
+    block = np.concatenate([c[np.ix_(kx, ky)] * weight for c in u_hats], axis=1)
+    # exp(i k x) for k = -kmax..kmax and exp(i k y) for k = 0..kmax, one
+    # row per k: powers of exp(ix) and exp(iy), negative k by conjugation
+    ex = np.empty((2 * kmax + 1, m), dtype=np.complex128)
+    ey = np.empty((kmax + 1, m), dtype=np.complex128)
+    for powers, coord in ((ex[kmax:], points[:, 0]), (ey, points[:, 1])):
+        powers[0] = 1.0
+        np.exp(1j * coord, out=powers[1])
+        for k in range(2, kmax + 1):
+            np.multiply(powers[k - 1], powers[1], out=powers[k])
+    np.conjugate(ex[:kmax:-1], out=ex[:kmax])
+    # one matrix product for both components, then the sum over ky
+    amp = (block.T @ ex).reshape(2, kmax + 1, m)
+    return np.ascontiguousarray(np.einsum("ckm,km->mc", amp, ey).real)
 
 
 def _half_steps(state: SimState, dt: float, cfl_limit: Optional[float]):

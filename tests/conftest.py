@@ -81,3 +81,27 @@ def spectral_determinant(pm: ParticleMap) -> np.ndarray:
     hats = [forward_transform(d[:, :, c]) for c in (0, 1)]
     dxda, dxdb, dyda, dydb = (inverse_transform(op(grid, h)) for h in hats for op in (ddx, ddy))
     return (1.0 + dxda) * (1.0 + dydb) - dxdb * dyda
+
+
+def direct_velocity_sum(grid: TorusGrid, u_hats, points) -> np.ndarray:
+    """
+    Oracle for ``particles.eval_velocity_at``: the full-spectrum summation
+    over every unmasked (kx, ky), with ``exp(1j * outer(points, k))`` built
+    directly, needing no Hermitian symmetry.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("evaluation points must be finite")
+    kmax = grid.kmax_dealias
+    kvec = np.arange(-kmax, kmax + 1)
+    idx = kvec % grid.n
+    # series amplitudes of the retained block, ordered -kmax..kmax
+    sub = np.ix_(idx, idx)
+    scale = 1.0 / grid.n**2
+    ex = np.exp(1j * np.outer(points[:, 0], kvec))
+    ey = np.exp(1j * np.outer(points[:, 1], kvec))
+    out = np.empty((points.shape[0], 2))
+    for comp, coeffs in enumerate(u_hats):
+        block = coeffs[sub] * scale
+        out[:, comp] = ((ex @ block) * ey).sum(axis=1).real
+    return out

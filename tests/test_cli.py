@@ -1,10 +1,14 @@
 """
 End-to-end tests of the CLI: subcommands, flag/file precedence, and the
-documented exit-status contract (0 ok, 1 config, 2 numerics, 3 i/o).
+documented exit-status contract (0 ok, 1 config, 2 numerics, 3 i/o or
+system).
 """
+
+import os
 
 import pytest
 
+from euleralpha import experiments
 from euleralpha.cli import main
 from euleralpha.output import read_snapshot
 
@@ -20,6 +24,11 @@ def run_args(tmp_path, **kw):
     for key, value in args.items():
         flat += [f"--{key.replace('_', '-')}", value]
     return flat
+
+
+def _worker_dies(cfg, omega_bytes):
+    """Stands in for a sweep member whose worker process is killed."""
+    os._exit(1)
 
 
 class TestRunCommand:
@@ -114,6 +123,18 @@ class TestSweepCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("configuration error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_dead_worker_is_one_line_exit_3(self, monkeypatch, capsys):
+        # the pool forks after the patch, so both workers run _worker_dies
+        monkeypatch.setattr(experiments, "_terminal_q", _worker_dies)
+        code = main([
+            "splitting-order", "--n", "16", "--nu", "0.02", "--t-final", "0.05",
+            "--dt-list", "0.025,0.0125,0.00625", "--workers", "2",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("system error: sweep member ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
 

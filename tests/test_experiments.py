@@ -203,6 +203,21 @@ class TestRun:
         ]
         assert read_snapshot(out / snapshot_name(4)).time == 0.07
 
+    def test_failed_run_keeps_history_and_failure_manifest(self, tmp_path):
+        # amplitude 100 at dt=0.1: the t=0 row is logged, then the first
+        # step violates the CFL limit
+        from euleralpha.integrators import CflViolation
+
+        cfg = self._tiny_cfg(tmp_path, ic_amplitude=100.0, dt=0.1, t_final=1.0)
+        with pytest.raises(CflViolation) as caught:
+            run(cfg)
+        out = tmp_path / "out"
+        assert list(read_diagnostics(out / "diagnostics.csv")["t"]) == [0.0]
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[-3:] == [
+            "status = failed", "failed_at_t = 0.0", f"reason = {caught.value}",
+        ]
+
     def test_diagnostics_csv_round_trips_exact_floats(self, tmp_path):
         cfg = self._tiny_cfg(tmp_path, ic="random_bandlimited")
         run(cfg)

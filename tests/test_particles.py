@@ -15,9 +15,14 @@ from euleralpha.particles import (
     integrate_with_particles,
     jacobian_determinant,
 )
-from euleralpha.spectral import forward_transform
+from euleralpha.spectral import TorusGrid, forward_transform
 
-from conftest import extrapolated_determinant, random_state, spectral_determinant
+from conftest import (
+    direct_velocity_sum,
+    extrapolated_determinant,
+    random_state,
+    spectral_determinant,
+)
 
 EPS = 0.3
 
@@ -96,6 +101,38 @@ class TestEvalVelocityAt:
         hats = (np.zeros((16, 16), dtype=complex),) * 2
         with pytest.raises(ValueError):
             eval_velocity_at(grid16, hats, np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_full_spectrum_sum(self, n, alpha):
+        # every retained mode carries energy; unwrapped points stress the
+        # recurrence for exp(i k x) far from the first period
+        grid = TorusGrid(n)
+        state = random_state(grid, alpha=alpha, kmax=grid.kmax_dealias, seed=n)
+        hats = velocity_hats_from_q(grid, state.q_hat, alpha)
+        scale = max(np.abs(np.fft.ifft2(h).real).max() for h in hats)
+        lattice = np.column_stack([grid.X.ravel(), grid.Y.ravel()])
+        unwrapped = np.random.default_rng(n).uniform(-50.0, 50.0, (2000, 2))
+        for pts in (lattice, unwrapped):
+            vals = eval_velocity_at(grid, hats, pts)
+            assert np.abs(vals - direct_velocity_sum(grid, hats, pts)).max() <= 1e-13 * scale
+
+    def test_corner_modes_closed_form(self, grid32):
+        # cos(K x + K y) lives on (K, K) and (-K, -K); sin(K x - K y) on
+        # (-K, K) and (K, -K): the retained ky = K row at both kx ends,
+        # where the ky > 0 weight meets the conjugated negative kx
+        K = grid32.kmax_dealias
+        hats = (
+            forward_transform(np.cos(K * grid32.X + K * grid32.Y)),
+            forward_transform(np.sin(K * grid32.X - K * grid32.Y)),
+        )
+        # within a period of the first on either side, so that rounding of
+        # the closed form's phase K x + K y stays far below the bound
+        pts = np.random.default_rng(5).uniform(-2 * np.pi, 4 * np.pi, (400, 2))
+        vals = eval_velocity_at(grid32, hats, pts)
+        x, y = pts[:, 0], pts[:, 1]
+        assert np.abs(vals[:, 0] - np.cos(K * x + K * y)).max() <= 1e-13
+        assert np.abs(vals[:, 1] - np.sin(K * x - K * y)).max() <= 1e-13
 
 
 class TestAdvectParticles:
