@@ -14,10 +14,8 @@ from .spectral import (  # noqa: F401
     ddy,
     forward_transform,
     helmholtz,
-    hermitian_defect,
     integral,
     inverse_helmholtz,
-    inverse_transform,
     l2_inner,
     l2_norm,
     laplacian,

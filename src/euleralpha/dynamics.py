@@ -28,7 +28,8 @@ curl((1 - alpha^2 Lap)(-ad*_u u)) = -u . grad q, which the test suite
 asserts to near machine precision for band-limited states.
 
 Nonlinear products are formed pointwise in physical space from dealiased
-spectral factors, and the product is dealiased again (2/3 rule).
+spectral factors, and the product is dealiased again (2/3 rule). The state
+keeps the full spectrum of q; the RHS and the CFL speed transform its half.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .spectral import (
     inverse_helmholtz,
     l2_inner,
     laplacian,
+    rhs_factors,
     stream_from_omega,
 )
 
@@ -126,35 +128,43 @@ def velocity_hats_from_q(
     return ddy(grid, psi_hat), -ddx(grid, psi_hat)
 
 
+def _half_fields(state: SimState, q_half: np.ndarray) -> np.ndarray:
+    """Stacked half spectra of (dx q, dy q, u_x, u_y) for ``q_half``."""
+    dx, dy = state.grid.DX, state.grid.DY[:, : q_half.shape[1]]
+    psi = q_half * rhs_factors(state.grid, state.alpha)[0, :, : q_half.shape[1]]
+    fields = np.empty((4, *q_half.shape), dtype=complex)
+    for i, (d, f) in enumerate(((dx, q_half), (dy, q_half), (dy, psi), (-dx, psi))):
+        np.multiply(d, f, out=fields[i])
+    return fields
+
+
 def max_speed(state: SimState) -> float:
-    """Max pointwise |u| of the state's velocity field."""
-    ux_hat, uy_hat = velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
-    return float(np.hypot(_ifft_real(ux_hat), _ifft_real(uy_hat)).max())
+    """Max pointwise |u| of the state's velocity field (q_hat must be Hermitian)."""
+    n = state.grid.n
+    ux, uy = np.fft.irfft2(_half_fields(state, state.q_hat[:, : n // 2 + 1])[2:], s=(n, n))
+    return float(np.hypot(ux, uy).max())
 
 
 def rhs_vorticity(state: SimState) -> np.ndarray:
     """
-    dq_hat/dt = -FFT(u . grad q) + nu * Lap(w_hat).
+    dq_hat/dt = -FFT(u . grad q) + nu * Lap(w_hat), mean mode pinned to 0.
 
-    The advective product is formed pointwise from dealiased factors and
-    dealiased again; the mean mode of the result is pinned to zero.
+    For Hermitian q_hat: one batched irfft2 of the dealiased (dx q, dy q, u_x,
+    u_y), passing only their nonzero columns ky < n/3, and one rfft2 of their
+    product; columns ky > n/2 are the conjugates of the reflected half.
     """
     grid = state.grid
-    q_hat = dealias(grid, state.q_hat)
-    # grad q before u: under glibc malloc's heap trimming this order of the
-    # n x n temporaries refaults fewer pages (n=512, numpy 2.4 on a 2-core
-    # Xeon: about 4e3 against 2e4 minor faults per RK4 step)
-    qx = _ifft_real(ddx(grid, q_hat))
-    qy = _ifft_real(ddy(grid, q_hat))
-    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, state.alpha)
-    ux = _ifft_real(ux_hat)
-    uy = _ifft_real(uy_hat)
-    adv_hat = dealias(grid, forward_transform(ux * qx + uy * qy))
-    out = -adv_hat
+    n, m, w = grid.n, grid.n // 2 + 1, grid.kmax_dealias + 1
+    mask = grid.dealias_mask[:, :m]
+    q_half = state.q_hat[:, :w] * mask[:, :w]
+    qx, qy, ux, uy = np.fft.irfft2(_half_fields(state, q_half), s=(n, n))
+    half = -(np.fft.rfft2(ux * qx + uy * qy) * mask)
     if state.nu != 0.0:
-        omega_hat = omega_from_q(grid, q_hat, state.alpha)
-        out = out - state.nu * grid.K2 * omega_hat
-    out[0, 0] = 0.0
+        half[:, :w] -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_half
+    half[0, 0] = 0.0
+    out = np.empty((n, n), dtype=complex)
+    out[:, :m] = half
+    np.conjugate(half[-np.arange(n) % n, m - 2 : 0 : -1], out=out[:, m:])
     return out
 
 
@@ -167,8 +177,7 @@ def leray_project_hats(
     On the torus this is the mode-wise multiplier I - k k^T / k^2; the k = 0
     (mean) component is already divergence-free and passes through.
     """
-    k2 = np.where(grid.K2 == 0.0, 1.0, grid.K2)
-    kdotw = (grid.KX * wx_hat + grid.KY * wy_hat) / k2
+    kdotw = (grid.KX * wx_hat + grid.KY * wy_hat) / grid.K2_nonzero
     px = wx_hat - grid.KX * kdotw
     py = wy_hat - grid.KY * kdotw
     px[0, 0] = wx_hat[0, 0]

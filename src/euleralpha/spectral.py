@@ -11,7 +11,8 @@ are integers. Scalar fields are represented two ways:
 
 * physical: real ``(n, n)`` arrays indexed ``[ix, iy]`` (x is axis 0),
 * spectral: complex ``(n, n)`` arrays of unnormalized forward-FFT
-  coefficients in numpy's standard frequency ordering.
+  coefficients in numpy's standard frequency ordering. States keep all of
+  them; the RHS transforms only the half ky = 0..n/2 (``rfft2`` layout).
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -34,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: tolerances for internal sanity checks (relative to the field magnitude)
-_HERMITIAN_RTOL = 1e-9
+#: tolerance of the stream-function solve's mean check (relative to the field magnitude)
 _MEAN_RTOL = 1e-9
 
 
@@ -55,10 +55,10 @@ class TorusGrid:
         Collocation coordinates ``2pi * i / n`` as a meshgrid, ``indexing="ij"``.
     kx : ndarray, shape (n,)
         Integer wavenumbers in FFT order (0, 1, ..., -n/2, ..., -1), per axis.
-    KX, KY, K2 : ndarray, shape (n, n)
-        Wavenumber meshes and squared magnitude ``kx**2 + ky**2``.
-    DX, DY : ndarray, shape (n, n), complex
-        First-derivative multipliers ``i*k`` with the Nyquist mode zeroed.
+    KX, KY, K2, K2_nonzero : ndarray, shape (n, n)
+        Wavenumber meshes, squared magnitude ``kx**2 + ky**2``, and K2 with 1 at k = 0.
+    DX, DY : ndarray, shapes (n, 1) and (1, n), complex
+        First-derivative multipliers ``i*k``, Nyquist mode zeroed; they broadcast.
     dealias_mask : ndarray of bool, shape (n, n)
         True iff ``|kx| < n/3`` and ``|ky| < n/3`` (2/3 rule).
     kmax_dealias : int
@@ -74,11 +74,13 @@ class TorusGrid:
     KX: np.ndarray = field(init=False, repr=False)
     KY: np.ndarray = field(init=False, repr=False)
     K2: np.ndarray = field(init=False, repr=False)
+    K2_nonzero: np.ndarray = field(init=False, repr=False)
     DX: np.ndarray = field(init=False, repr=False)
     DY: np.ndarray = field(init=False, repr=False)
     dealias_mask: np.ndarray = field(init=False, repr=False)
     kmax_dealias: int = field(init=False)
     h: float = field(init=False)
+    _rhs_factors: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 8 or self.n % 2 != 0:
@@ -95,16 +97,17 @@ class TorusGrid:
         s(self, "KX", KX)
         s(self, "KY", KY)
         s(self, "K2", KX**2 + KY**2)
+        s(self, "K2_nonzero", np.where(self.K2 == 0.0, 1.0, self.K2))
         # zero the (unpaired) Nyquist wavenumber in first derivatives
         kd = k1.copy()
         kd[n // 2] = 0.0
-        KXd, KYd = np.meshgrid(kd, kd, indexing="ij")
-        s(self, "DX", 1j * KXd)
-        s(self, "DY", 1j * KYd)
+        s(self, "DX", 1j * kd[:, None])
+        s(self, "DY", 1j * kd[None, :])
         cut = n / 3.0
         s(self, "dealias_mask", (np.abs(KX) < cut) & (np.abs(KY) < cut))
         s(self, "kmax_dealias", int(np.ceil(cut)) - 1)
         s(self, "h", 2.0 * np.pi / n)
+        s(self, "_rhs_factors", [None, np.empty((2, n, n // 2 + 1))])
 
 
 def forward_transform(values: np.ndarray) -> np.ndarray:
@@ -112,34 +115,25 @@ def forward_transform(values: np.ndarray) -> np.ndarray:
     return np.fft.fft2(np.asarray(values, dtype=np.float64))
 
 
-def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """
-    Fourier coefficients -> real physical samples.
-
-    Rejects input that is not Hermitian-symmetric (a real field's
-    coefficients satisfy coeff(-k) = conj(coeff(k))); such input signals
-    an internal logic error upstream.
-    """
-    defect = hermitian_defect(coeffs)
-    scale = np.abs(coeffs).max()
-    if defect > _HERMITIAN_RTOL * (1.0 + scale):
-        raise ValueError(
-            f"coefficients are not Hermitian-symmetric (defect {defect:.3e})"
-        )
-    return np.fft.ifft2(coeffs).real
-
-
 def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
     # hot-path inverse for internally constructed (Hermitian) data
     return np.fft.ifft2(coeffs).real
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max modulus of ``coeff(k) - conj(coeff(-k))`` over all modes."""
-    n = coeffs.shape[0]
-    idx = (-np.arange(n)) % n
-    reflected = coeffs[np.ix_(idx, idx)]
-    return float(np.abs(coeffs - np.conj(reflected)).max())
+def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:
+    """
+    Real factors on the half spectrum ky = 0..n/2 taking q to the stream
+    function and to -Lap w, for the last alpha asked for, written into a
+    buffer made with the grid: an array kept from mid-run can split the heap.
+    """
+    cached_alpha, factors = grid._rhs_factors
+    if cached_alpha != alpha:
+        k2 = grid.K2[:, : grid.n // 2 + 1]
+        smooth = 1.0 + alpha**2 * k2
+        np.divide(1.0, smooth * grid.K2_nonzero[:, : k2.shape[1]], out=factors[0])
+        np.divide(k2, smooth, out=factors[1])
+        grid._rhs_factors[0] = alpha
+    return factors
 
 
 def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -178,8 +172,7 @@ def stream_from_omega(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
     scale = np.abs(omega_hat).max()
     if np.abs(omega_hat[0, 0]) > _MEAN_RTOL * (1.0 + scale):
         raise ValueError("stream-function solve requires a mean-zero vorticity")
-    k2 = np.where(grid.K2 == 0.0, 1.0, grid.K2)
-    psi_hat = omega_hat / k2
+    psi_hat = omega_hat / grid.K2_nonzero
     psi_hat[0, 0] = 0.0
     return psi_hat
 

@@ -3,9 +3,78 @@
 import numpy as np
 import pytest
 
-from euleralpha.dynamics import SimState, state_from_omega
+from euleralpha.dynamics import SimState, omega_from_q, state_from_omega, velocity_hats_from_q
 from euleralpha.particles import ParticleMap, jacobian_determinant
-from euleralpha.spectral import TorusGrid, ddx, ddy, forward_transform, inverse_transform
+from euleralpha.spectral import TorusGrid, _ifft_real, ddx, ddy, dealias, forward_transform
+
+#: Hermitian-symmetry tolerance of ``inverse_transform`` (relative to the field magnitude)
+_HERMITIAN_RTOL = 1e-9
+
+
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """Max modulus of ``coeff(k) - conj(coeff(-k))`` over all modes."""
+    n = coeffs.shape[0]
+    idx = (-np.arange(n)) % n
+    reflected = coeffs[np.ix_(idx, idx)]
+    return float(np.abs(coeffs - np.conj(reflected)).max())
+
+
+def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
+    """
+    Fourier coefficients -> real physical samples.
+
+    Rejects input that is not Hermitian-symmetric (a real field's
+    coefficients satisfy coeff(-k) = conj(coeff(k))); such input signals
+    an internal logic error upstream.
+    """
+    defect = hermitian_defect(coeffs)
+    scale = np.abs(coeffs).max()
+    if defect > _HERMITIAN_RTOL * (1.0 + scale):
+        raise ValueError(
+            f"coefficients are not Hermitian-symmetric (defect {defect:.3e})"
+        )
+    return np.fft.ifft2(coeffs).real
+
+
+def direct_rhs(state: SimState) -> np.ndarray:
+    """
+    Oracle for ``dynamics.rhs_vorticity``: the full-spectrum body, four
+    complex inverse transforms of the dealiased factors and one forward
+    transform of their product, dealiased again.
+    """
+    grid = state.grid
+    q_hat = dealias(grid, state.q_hat)
+    qx = _ifft_real(ddx(grid, q_hat))
+    qy = _ifft_real(ddy(grid, q_hat))
+    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, state.alpha)
+    ux = _ifft_real(ux_hat)
+    uy = _ifft_real(uy_hat)
+    adv_hat = dealias(grid, forward_transform(ux * qx + uy * qy))
+    out = -adv_hat
+    if state.nu != 0.0:
+        omega_hat = omega_from_q(grid, q_hat, state.alpha)
+        out = out - state.nu * grid.K2 * omega_hat
+    out[0, 0] = 0.0
+    return out
+
+
+def direct_max_speed(state: SimState) -> float:
+    """Oracle for ``dynamics.max_speed``: two full-spectrum inverse transforms."""
+    ux_hat, uy_hat = velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
+    return float(np.hypot(_ifft_real(ux_hat), _ifft_real(uy_hat)).max())
+
+
+def random_spectrum(grid: TorusGrid, band: int, seed: int) -> np.ndarray:
+    """
+    Mean-zero coefficients of a real white-noise field, kept for
+    |kx|, |ky| <= band. A band of n/2 keeps the full spectrum, Nyquist
+    modes included, so the result need not be dealiased.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = np.fft.fft2(rng.standard_normal((grid.n, grid.n)))
+    coeffs[(np.abs(grid.KX) > band) | (np.abs(grid.KY) > band)] = 0.0
+    coeffs[0, 0] = 0.0
+    return coeffs
 
 
 @pytest.fixture(scope="session")

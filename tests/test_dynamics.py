@@ -7,6 +7,9 @@ curl((1 - a^2 Lap)(-ad*_u u)) == -u.grad q, which fails loudly under any
 sign mistake in the psi/u/omega conventions.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,23 +19,31 @@ from euleralpha.dynamics import (
     compute_diagnostics,
     energy_quadrature,
     leray_project_hats,
+    max_speed,
     omega_from_q,
     rhs_vorticity,
     state_from_omega,
     velocity_hats_from_q,
 )
 from euleralpha.spectral import (
+    TorusGrid,
     dealias,
     forward_transform,
     helmholtz,
-    hermitian_defect,
     inverse_helmholtz,
     l2_inner,
     l2_norm,
     stream_from_omega,
 )
 
-from conftest import random_band_hat, random_state
+from conftest import (
+    direct_max_speed,
+    direct_rhs,
+    hermitian_defect,
+    random_band_hat,
+    random_spectrum,
+    random_state,
+)
 
 
 def single_shell_state(grid, alpha, nu=0.0, k=2):
@@ -157,6 +168,55 @@ class TestRhsVorticity:
         expected[0, 0] = 0.0
         rhs = rhs_vorticity(state)
         assert np.abs(rhs - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestHalfSpectrumRhs:
+    """rhs_vorticity and max_speed on the rfft2 half spectrum, against the full-spectrum bodies."""
+
+    @staticmethod
+    def assert_matches_oracle(state):
+        expected = direct_rhs(state)
+        assert np.abs(rhs_vorticity(state) - expected).max() <= 1e-13 * np.abs(expected).max()
+        speed = direct_max_speed(state)
+        assert abs(max_speed(state) - speed) <= 1e-13 * speed
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_matches_full_spectrum_body(self, n, alpha, nu):
+        grid = TorusGrid(n)
+        for seed in range(3):
+            # a dealiased state, and a full band with the Nyquist modes
+            # that only the multiplier's own mask removes
+            dealiased = state_from_omega(grid, random_spectrum(grid, n // 2, seed), alpha, nu=nu)
+            full_band = SimState(grid, random_spectrum(grid, n // 2, seed + 10), alpha, nu=nu)
+            assert np.abs(full_band.q_hat[:, n // 2]).max() > 0.0
+            for state in (dealiased, full_band):
+                self.assert_matches_oracle(state)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_upper_columns_are_conjugate_reflection(self, n):
+        grid = TorusGrid(n)
+        state = SimState(grid, random_spectrum(grid, n // 2, seed=3), 0.3, nu=0.05)
+        out = rhs_vorticity(state)
+        ky = np.arange(n // 2 + 1, n)
+        assert np.array_equal(out[:, ky], np.conj(out[np.ix_(-np.arange(n) % n, n - ky)]))
+
+    def test_alpha_change_on_one_grid(self):
+        grid = TorusGrid(32)
+        q = random_spectrum(grid, 10, seed=4)
+        for alpha in (0.25, 0.5, 0.25):
+            self.assert_matches_oracle(SimState(grid, q, alpha, nu=0.05))
+
+    def test_grid_not_kept_alive(self):
+        grid = TorusGrid(16)
+        state = random_state(grid, alpha=0.4, nu=0.01)
+        rhs_vorticity(state)
+        max_speed(state)
+        ref = weakref.ref(grid)
+        del grid, state
+        gc.collect()
+        assert ref() is None
 
 
 class TestLerayProjection:

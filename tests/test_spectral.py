@@ -12,16 +12,16 @@ from euleralpha.spectral import (
     dealias,
     forward_transform,
     helmholtz,
-    hermitian_defect,
     integral,
     inverse_helmholtz,
-    inverse_transform,
     l2_norm,
     laplacian,
     stream_from_omega,
 )
 
-from conftest import random_band_hat
+from euleralpha.dynamics import leray_project_hats
+
+from conftest import hermitian_defect, inverse_transform, random_band_hat
 
 
 class TestTorusGrid:
@@ -156,6 +156,26 @@ class TestStreamFromOmega:
         omega_hat = forward_transform(np.cos(grid16.X) + 0.5)
         with pytest.raises(ValueError, match="mean"):
             stream_from_omega(grid16, omega_hat)
+
+
+class TestGuardedK2:
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_divisions_match_per_call_guard(self, n):
+        # the cached divisor gives the bits of the guard np.where(K2 == 0, 1, K2)
+        grid = TorusGrid(n)
+        k2 = np.where(grid.K2 == 0.0, 1.0, grid.K2)
+        assert np.array_equal(grid.K2_nonzero, k2)
+        rng = np.random.default_rng(n)
+        w = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+        w[0][0, 0] = 0.0
+        psi = w[0] / k2
+        psi[0, 0] = 0.0
+        assert np.array_equal(stream_from_omega(grid, w[0]), psi)
+        kdotw = (grid.KX * w[1] + grid.KY * w[2]) / k2
+        px, py = w[1] - grid.KX * kdotw, w[2] - grid.KY * kdotw
+        px[0, 0], py[0, 0] = w[1][0, 0], w[2][0, 0]
+        got = leray_project_hats(grid, w[1], w[2])
+        assert np.array_equal(got[0], px) and np.array_equal(got[1], py)
 
 
 class TestDealias:
