@@ -1,9 +1,12 @@
 """
-Fast runtime self-checks of the solver's structural invariants.
+The solver's structural invariants, each measured by one function.
 
-Backs the ``check`` CLI subcommand. Each check returns (name, passed,
-detail); everything here runs in a few seconds at n = 32. The full
-acceptance suite lives in the test tree and is run with pytest.
+Every function below takes its inputs (grid, fields or state, alpha, nu,
+times) and returns the residuals it measures. They are the single source
+of these measurements: the test suite calls them with its own sizes,
+seeds and bounds, and ``CHECKS`` fixes the inputs and bounds of the
+``check`` CLI subcommand, which runs all nine in about a second at n = 32.
+The full acceptance suite lives in the test tree and is run with pytest.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .dynamics import (
     state_from_omega,
 )
 from .experiments import _random_band_hat
-from .integrators import StepperConfig, diffusion_semigroup, integrate
+from .integrators import StepperConfig, advance, diffusion_semigroup, integrate
 from .output import read_snapshot, write_snapshot
 from .particles import ParticleMap, jacobian_determinant
 from .spectral import (
@@ -39,142 +42,182 @@ from .spectral import (
 )
 
 
+def transform_residuals(f: np.ndarray) -> tuple[float, float]:
+    """Relative max round-trip error of the real field ``f`` and its relative Parseval defect."""
+    F = forward_transform(f)
+    roundtrip = np.abs(_ifft_real(F) - f).max() / np.abs(f).max()
+    parseval = abs(np.sum(f**2) - np.sum(np.abs(F) ** 2) / f.shape[0] ** 2)
+    parseval /= np.sum(f**2)
+    return float(roundtrip), float(parseval)
+
+
+def helmholtz_pair_residuals(grid: TorusGrid, F: np.ndarray, alpha: float) -> tuple[float, float]:
+    """Relative max errors of (1 - a^2 Lap)^-1 (1 - a^2 Lap) F and (1 - a^2 Lap) omega_from_q(F)."""
+    scale = np.abs(F).max()
+    back = inverse_helmholtz(grid, helmholtz(grid, F, alpha), alpha)
+    forth = helmholtz(grid, omega_from_q(grid, F, alpha), alpha)
+    return float(np.abs(back - F).max() / scale), float(np.abs(forth - F).max() / scale)
+
+
+def single_mode_decay_error(
+    grid: TorusGrid, alpha: float, nu: float, dt: float, t_final: float, scheme: str
+) -> float:
+    """
+    Relative error of the peak vorticity of omega0 = cos 2x, integrated to
+    ``t_final`` with ``scheme``, against its exact decay
+    exp(-nu k^2 t / (1 + alpha^2 k^2)) with k^2 = 4.
+    """
+    state = state_from_omega(grid, forward_transform(np.cos(2.0 * grid.X)), alpha, nu=nu)
+    exact = np.exp(-nu * 4.0 * t_final / (1.0 + alpha**2 * 4.0))
+    final = integrate(state, t_final, StepperConfig(dt=dt, scheme=scheme))
+    peak = _ifft_real(omega_from_q(grid, final.q_hat, alpha)).max()
+    return float(abs(peak - exact) / exact)
+
+
+def cross_form_residual(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Spectral residual of curl((1 - a^2 Lap)(-ad*_u u)) = -u . grad q, the
+    identity between the velocity (Euler-Poincare) and the vorticity form
+    that fixes every sign convention, and the vorticity-form right-hand
+    side it is measured against.
+    """
+    grid, alpha = state.grid, state.alpha
+    hx, hy = ad_star_hats(state)
+    rhs = rhs_vorticity(state)
+    curl = ddx(grid, helmholtz(grid, -hy, alpha)) - ddy(grid, helmholtz(grid, -hx, alpha))
+    return curl - rhs, rhs
+
+
+def leray_residuals(
+    grid: TorusGrid, p_hat: np.ndarray, wx_hat: np.ndarray, wy_hat: np.ndarray
+) -> tuple[float, float]:
+    """
+    What the Leray projection P leaves of grad p, relative to max|dx p|, and
+    the max divergence of P w, relative to max|P w|.
+    """
+    gx, gy = ddx(grid, p_hat), ddy(grid, p_hat)
+    px, py = leray_project_hats(grid, gx, gy)
+    kill = max(np.abs(px).max(), np.abs(py).max()) / np.abs(gx).max()
+    qx, qy = leray_project_hats(grid, wx_hat, wy_hat)
+    div = np.abs(ddx(grid, qx) + ddy(grid, qy)).max()
+    div /= max(np.abs(qx).max(), np.abs(qy).max())
+    return float(kill), float(div)
+
+
+def conservation_drifts(
+    state: SimState, t_final: float, config: StepperConfig, every: int
+) -> tuple[float, float, float]:
+    """
+    Max relative drifts of the energy and of int q^2, and max |int q|, over
+    the states at every ``every``-th step and at ``t_final``.
+    """
+    d0 = compute_diagnostics(state)
+    energy = casimir2 = mean = 0.0
+    for step, s in advance(state, t_final, config):
+        if step % every == 0 or s.t == t_final:
+            d = compute_diagnostics(s)
+            energy = max(energy, abs(d.energy - d0.energy) / d0.energy)
+            casimir2 = max(casimir2, abs(d.casimir2 - d0.casimir2) / d0.casimir2)
+            mean = max(mean, abs(d.mean_q))
+    return energy, casimir2, mean
+
+
+def semigroup_error(state: SimState, s: float, t: float) -> float:
+    """max |F_{s+t} q - F_t F_s q| / max |q| for the diffusion semigroup F."""
+    once = diffusion_semigroup(state, s + t)
+    twice = diffusion_semigroup(diffusion_semigroup(state, s), t)
+    return float(np.abs(once.q_hat - twice.q_hat).max() / np.abs(state.q_hat).max())
+
+
+def affine_jacobian_deviation(m: int, scale: tuple[float, float]) -> float:
+    """max |det - 1| of the stencil for a -> (scale[0] a_x, scale[1] a_y), scale[0] scale[1] = 1."""
+    pm = ParticleMap.lattice(m)
+    mapped = ParticleMap(
+        m=m, positions=pm.ref_positions * np.array(scale), ref_positions=pm.ref_positions
+    )
+    return jacobian_determinant(mapped).max_deviation()
+
+
+def snapshot_roundtrip_error(
+    path: Path, n: int, alpha: float, nu: float, time: float, omega: np.ndarray
+) -> float:
+    """Largest difference of a header value or sample after a write and read at ``path``."""
+    write_snapshot(path, n, alpha, nu, time, omega)
+    snap = read_snapshot(path)
+    header = np.subtract((snap.n, snap.alpha, snap.nu, snap.time), (n, alpha, nu, time))
+    return float(max(np.abs(header).max(), np.abs(snap.omega - omega).max()))
+
+
+# -- the ``check`` subcommand: fixed inputs, mostly on one n = 32 grid -------
+
+
 def _random_band_limited(grid: TorusGrid, K: int, seed: int) -> np.ndarray:
     return _random_band_hat(grid, K, seed) * grid.n**2 / (2 * K + 1) ** 2
 
 
-def check_transform_roundtrip() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
-    f = _ifft_real(_random_band_limited(grid, 9, seed=1))
-    f_hat = forward_transform(f)
-    err = np.abs(_ifft_real(f_hat) - f).max() / np.abs(f).max()
-    parseval = abs(np.sum(f**2) - np.sum(np.abs(f_hat) ** 2) / grid.n**2)
-    parseval /= np.sum(f**2)
-    ok = err < 1e-12 and parseval < 1e-12
-    return "transform round-trip & Parseval", ok, f"roundtrip={err:.2e} parseval={parseval:.2e}"
-
-
-def check_helmholtz_pair() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
-    F = _random_band_limited(grid, 9, seed=2)
-    worst = 0.0
-    for alpha in (0.0, 0.1, 1.0, 10.0):
-        back = inverse_helmholtz(grid, helmholtz(grid, F, alpha), alpha)
-        worst = max(worst, float(np.abs(back - F).max() / np.abs(F).max()))
-    return "helmholtz inverse pair", worst < 1e-13, f"max rel err {worst:.2e}"
-
-
-def check_single_mode_decay() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
-    alpha, nu, dt, t_final = 0.5, 0.01, 0.01, 1.0
-    omega0 = forward_transform(np.cos(2.0 * grid.X))
-    state = state_from_omega(grid, omega0, alpha, nu=nu)
-    exact = np.exp(-nu * 4.0 * t_final / (1.0 + alpha**2 * 4.0))
-    final = integrate(state, t_final, StepperConfig(dt=dt, scheme="rk4"))
-    got = _ifft_real(omega_from_q(grid, final.q_hat, alpha)).max()
-    err_rk4 = abs(got - exact) / exact
-    s = integrate(state, t_final, StepperConfig(dt=dt, scheme="lie_trotter"))
-    got_lt = _ifft_real(omega_from_q(grid, s.q_hat, alpha)).max()
-    err_lt = abs(got_lt - exact) / exact
-    ok = err_rk4 <= 1e-9 and err_lt <= 1e-12
-    return "single-mode viscous decay", ok, f"rk4={err_rk4:.2e} lie_trotter={err_lt:.2e}"
-
-
-def check_cross_form_consistency() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
+def _cross_form_case(grid: TorusGrid) -> list[float]:
     worst = 0.0
     for seed in (11, 12, 13):
         for alpha in (0.0, 0.25, 1.0):
             q = dealias(grid, helmholtz(grid, _random_band_limited(grid, 4, seed), alpha))
-            state = SimState(grid=grid, q_hat=q, alpha=alpha)
-            hx, hy = ad_star_hats(state)
-            lhs = ddx(grid, helmholtz(grid, -hy, alpha)) - ddy(grid, helmholtz(grid, -hx, alpha))
-            rhs = rhs_vorticity(state)
-            worst = max(worst, l2_norm(grid, lhs - rhs) / l2_norm(grid, rhs))
-    return "velocity-form vs vorticity-form", worst <= 1e-10, f"max rel L2 err {worst:.2e}"
+            residual, rhs = cross_form_residual(SimState(grid=grid, q_hat=q, alpha=alpha))
+            worst = max(worst, l2_norm(grid, residual) / l2_norm(grid, rhs))
+    return [worst]
 
 
-def check_leray() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
-    p = _random_band_limited(grid, 6, seed=21)
-    gx, gy = ddx(grid, p), ddy(grid, p)
-    px, py = leray_project_hats(grid, gx, gy)
-    kill = max(np.abs(px).max(), np.abs(py).max()) / np.abs(gx).max()
-    wx = _random_band_limited(grid, 6, seed=22)
-    wy = _random_band_limited(grid, 6, seed=23)
-    qx, qy = leray_project_hats(grid, wx, wy)
-    div = np.abs(ddx(grid, qx) + ddy(grid, qy)).max()
-    div /= max(np.abs(qx).max(), np.abs(qy).max())
-    ok = kill < 1e-12 and div < 1e-12
-    return "leray projection", ok, f"gradient-kill={kill:.2e} residual-div={div:.2e}"
-
-
-def check_conservation() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
-    omega0 = _random_band_limited(grid, 4, seed=31)
-    state = state_from_omega(grid, omega0, alpha=0.25, nu=0.0)
-    e0 = compute_diagnostics(state).energy
-    c0 = compute_diagnostics(state).casimir2
-    final = integrate(state, 1.0, StepperConfig(dt=2e-3, scheme="rk4"))
-    d = compute_diagnostics(final)
-    e_drift = abs(d.energy - e0) / e0
-    c_drift = abs(d.casimir2 - c0) / c0
-    ok = e_drift <= 1e-8 and c_drift <= 1e-7 and d.mean_q == 0.0
-    return "inviscid conservation (t=1)", ok, f"energy={e_drift:.2e} casimir2={c_drift:.2e}"
-
-
-def check_semigroup_law() -> tuple[str, bool, str]:
-    grid = TorusGrid(32)
-    q = _random_band_limited(grid, 9, seed=41)
-    state = SimState(grid=grid, q_hat=q, alpha=0.5, nu=0.3)
-    once = diffusion_semigroup(state, 0.7)
-    twice = diffusion_semigroup(diffusion_semigroup(state, 0.3), 0.4)
-    err = np.abs(once.q_hat - twice.q_hat).max() / np.abs(q).max()
-    return "diffusion semigroup law", err <= 1e-14, f"rel err {err:.2e}"
-
-
-def check_jacobian_stencil() -> tuple[str, bool, str]:
-    pm = ParticleMap.lattice(16)
-    ident = jacobian_determinant(pm).max_deviation()
-    affine = ParticleMap(
-        m=16,
-        positions=pm.ref_positions * np.array([2.0, 0.5]),
-        ref_positions=pm.ref_positions,
-    )
-    aff = jacobian_determinant(affine).max_deviation()
-    ok = ident == 0.0 and aff <= 1e-12
-    return "jacobian determinant stencil", ok, f"identity={ident:.2e} affine={aff:.2e}"
-
-
-def check_snapshot_roundtrip() -> tuple[str, bool, str]:
+def _snapshot_case(_grid: TorusGrid) -> list[float]:
     grid = TorusGrid(16)
     omega = np.cos(2 * grid.X) + 0.5 * np.sin(grid.Y)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap_00000000.eaf"
-        write_snapshot(path, 16, 0.25, 0.01, 1.5, omega)
-        snap = read_snapshot(path)
-    ok = (
-        snap.n == 16
-        and snap.alpha == 0.25
-        and snap.nu == 0.01
-        and snap.time == 1.5
-        and np.array_equal(snap.omega, omega)
-    )
-    return "snapshot bit-exact round-trip", ok, "exact" if ok else "mismatch"
+        return [snapshot_roundtrip_error(path, 16, 0.25, 0.01, 1.5, omega)]
 
 
-ALL_CHECKS = (
-    check_transform_roundtrip,
-    check_helmholtz_pair,
-    check_single_mode_decay,
-    check_cross_form_consistency,
-    check_leray,
-    check_conservation,
-    check_semigroup_law,
-    check_jacobian_stencil,
-    check_snapshot_roundtrip,
+#: (name, measurement on the n = 32 grid, (label, bound) for each measured
+#: value); a bound "<x" passes values below x, "<=x" values up to x
+CHECKS = (
+    ("transform round-trip & Parseval",
+     lambda g: transform_residuals(_ifft_real(_random_band_limited(g, 9, seed=1))),
+     (("roundtrip", "<1e-12"), ("parseval", "<1e-12"))),
+    ("helmholtz inverse pair",
+     lambda g: np.max([helmholtz_pair_residuals(g, _random_band_limited(g, 9, seed=2), a)
+                       for a in (0.0, 0.1, 1.0, 10.0)], axis=0),
+     (("inverse of filter", "<1e-13"), ("filter of inverse", "<1e-13"))),
+    ("single-mode viscous decay",
+     lambda g: [single_mode_decay_error(g, 0.5, 0.01, 0.01, 1.0, scheme)
+                for scheme in ("rk4", "lie_trotter")],
+     (("rk4", "<=1e-9"), ("lie_trotter", "<=1e-12"))),
+    ("velocity-form vs vorticity-form", _cross_form_case, (("max rel L2 err", "<=1e-10"),)),
+    ("leray projection",
+     lambda g: leray_residuals(g, *(_random_band_limited(g, 6, seed) for seed in (21, 22, 23))),
+     (("gradient-kill", "<1e-12"), ("residual-div", "<1e-12"))),
+    ("inviscid conservation (t=1)",
+     lambda g: conservation_drifts(state_from_omega(g, _random_band_limited(g, 4, seed=31), 0.25),
+                                   1.0, StepperConfig(dt=2e-3), every=500),
+     (("energy", "<=1e-8"), ("casimir2", "<=1e-7"), ("mean_q", "<=0"))),
+    ("diffusion semigroup law",
+     lambda g: [semigroup_error(SimState(g, _random_band_limited(g, 9, seed=41), 0.5, nu=0.3),
+                                0.3, 0.4)],
+     (("rel err", "<=1e-14"),)),
+    ("jacobian determinant stencil",
+     lambda g: [affine_jacobian_deviation(16, s) for s in ((1.0, 1.0), (2.0, 0.5))],
+     (("identity", "<=0"), ("affine", "<=1e-12"))),
+    ("snapshot bit-exact round-trip", _snapshot_case, (("max difference", "<=0"),)),
 )
 
 
+def _within(value: float, bound: str) -> bool:
+    limit = float(bound.lstrip("<="))
+    return value <= limit if bound.startswith("<=") else value < limit
+
+
 def run_checks() -> list[tuple[str, bool, str]]:
-    return [check() for check in ALL_CHECKS]
+    """(name, passed, measured values next to their bounds) for each entry of ``CHECKS``."""
+    grid = TorusGrid(32)
+    results = []
+    for name, measure, bounds in CHECKS:
+        pairs = list(zip(measure(grid), bounds, strict=True))
+        ok = all(_within(v, bound) for v, (_, bound) in pairs)
+        detail = ", ".join(f"{label}={v:.2e} ({bound})" for v, (label, bound) in pairs)
+        results.append((name, ok, detail))
+    return results

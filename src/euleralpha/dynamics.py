@@ -24,8 +24,9 @@ du/dt = -ad*_u u with
 
 where P is the Leray projection; the pressure gradient never appears
 explicitly because P removes it exactly on the torus. Both forms agree:
-curl((1 - alpha^2 Lap)(-ad*_u u)) = -u . grad q, which the test suite
-asserts to near machine precision for band-limited states.
+curl((1 - alpha^2 Lap)(-ad*_u u)) = -u . grad q, which
+``checks.cross_form_residual`` measures and the test suite asserts to near
+machine precision.
 
 Nonlinear products are formed pointwise in physical space from dealiased
 spectral factors, and the product is dealiased again (2/3 rule). The state
@@ -228,17 +229,15 @@ def energy_hats(grid: TorusGrid, ux_hat: np.ndarray, uy_hat: np.ndarray, alpha: 
     return 0.5 * float(total) * (2.0 * np.pi) ** 2 / grid.n**4
 
 
-def energy_quadrature(state: SimState) -> float:
+def energy_quadrature(
+    grid: TorusGrid, ux: np.ndarray, uy: np.ndarray, vx: np.ndarray, vy: np.ndarray
+) -> float:
     """
-    H^1_alpha energy by physical-space quadrature, 0.5 * int u . v dx with
-    v = (1 - alpha^2 Lap) u. Independent of :func:`energy_hats` up to
-    roundoff; the pair gives two quadratures of the same metric.
+    H^1_alpha energy by physical-space quadrature, 0.5 * int u . v dx, from
+    grid samples of u and of v = (1 - alpha^2 Lap) u. Independent of
+    :func:`energy_hats` up to roundoff; the pair gives two quadratures of
+    the same metric.
     """
-    grid = state.grid
-    ux_hat, uy_hat = velocity_hats_from_q(grid, state.q_hat, state.alpha)
-    ux, uy = _ifft_real(ux_hat), _ifft_real(uy_hat)
-    vx = _ifft_real(helmholtz(grid, ux_hat, state.alpha))
-    vy = _ifft_real(helmholtz(grid, uy_hat, state.alpha))
     return 0.5 * float(np.sum(ux * vx + uy * vy)) * grid.h**2
 
 
@@ -255,9 +254,11 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     omega_hat = omega_from_q(grid, q_hat, state.alpha)
     ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, state.alpha)
     ux, uy = _ifft_real(ux_hat), _ifft_real(uy_hat)
+    vx = _ifft_real(helmholtz(grid, ux_hat, state.alpha))
+    vy = _ifft_real(helmholtz(grid, uy_hat, state.alpha))
 
     energy = energy_hats(grid, ux_hat, uy_hat, state.alpha)
-    energy_phys = energy_quadrature(state)
+    energy_phys = energy_quadrature(grid, ux, uy, vx, vy)
     scale = max(abs(energy), abs(energy_phys), 1e-300)
     if abs(energy - energy_phys) > _ENERGY_QUADRATURE_RTOL * scale and scale > 1e-30:
         raise FloatingPointError(

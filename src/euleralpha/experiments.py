@@ -350,7 +350,8 @@ def _map_members(configs, omega_bytes: bytes, labels, workers: int):
 
     if workers <= 1:
         return _collect(functools.partial(_terminal_q, c, omega_bytes) for c in configs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # under fork the pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         futures = [pool.submit(_terminal_q, c, omega_bytes) for c in configs]
         return _collect(f.result for f in futures)
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import SimState, compute_diagnostics, max_speed, rhs_vorticity
+from .dynamics import SimState, max_speed, rhs_vorticity
 
 SCHEMES = ("rk4", "lie_trotter", "strang")
 
@@ -115,26 +115,22 @@ def diffusion_semigroup(state: SimState, dt: float) -> SimState:
     return state.replace(q_hat=state.q_hat * decay, t=state.t + dt)
 
 
-def _inviscid_rk4(state: SimState, dt: float, cfl_limit: Optional[float]) -> SimState:
-    inviscid = state.replace(nu=0.0)
-    stepped = step_rk4(inviscid, dt, cfl_limit)
-    return stepped.replace(nu=state.nu)
-
-
 def step_lie_trotter(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) -> SimState:
     """Diffusion semigroup over dt, then one inviscid transport step over dt."""
     _check_cfl(state, dt, cfl_limit)
-    diffused = diffusion_semigroup(state, dt)
-    out = _inviscid_rk4(diffused.replace(t=state.t), dt, cfl_limit=None)
-    return out.replace(t=state.t + dt)
+    diffused = diffusion_semigroup(state, dt).q_hat
+    q_new = diffused + _rk4_increment(state.replace(q_hat=diffused, nu=0.0), dt)
+    q_new[0, 0] = 0.0
+    return state.replace(q_hat=q_new, t=state.t + dt)
 
 
 def step_strang(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) -> SimState:
     """Half-step diffusion, inviscid transport over dt, half-step diffusion."""
     _check_cfl(state, dt, cfl_limit)
-    half = diffusion_semigroup(state, 0.5 * dt)
-    mid = _inviscid_rk4(half.replace(t=state.t), dt, cfl_limit=None)
-    out = diffusion_semigroup(mid, 0.5 * dt)
+    half = diffusion_semigroup(state, 0.5 * dt).q_hat
+    mid = half + _rk4_increment(state.replace(q_hat=half, nu=0.0), dt)
+    mid[0, 0] = 0.0
+    out = diffusion_semigroup(state.replace(q_hat=mid), 0.5 * dt)
     return out.replace(t=state.t + dt)
 
 
@@ -183,21 +179,8 @@ def advance(state: SimState, t_final: float, config: StepperConfig):
     yield from _march(state, t_final, config.dt, lambda s, dt: stepper(s, dt, config.cfl_limit))
 
 
-def integrate(
-    state: SimState,
-    t_final: float,
-    config: StepperConfig,
-    observer: Optional[Callable] = None,
-    observe_every: int = 1,
-) -> SimState:
-    """
-    Step ``state`` to ``t_final``.
-
-    ``observer(step, state, diagnostics)`` is invoked at step 0, every
-    ``observe_every``-th step, and at the final step. Returns the final
-    state (t == t_final exactly).
-    """
-    for step, state in advance(state, t_final, config):
-        if observer is not None and (step % observe_every == 0 or state.t == t_final):
-            observer(step, state, compute_diagnostics(state, config.dt))
+def integrate(state: SimState, t_final: float, config: StepperConfig) -> SimState:
+    """Step ``state`` to ``t_final``; returns the final state (t == t_final exactly)."""
+    for _, state in advance(state, t_final, config):
+        pass
     return state

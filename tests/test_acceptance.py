@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from euleralpha.dynamics import compute_diagnostics, omega_from_q, rhs_vorticity
-from euleralpha.dynamics import ad_star_hats
+from euleralpha.checks import conservation_drifts, cross_form_residual, single_mode_decay_error
+from euleralpha.dynamics import omega_from_q
 from euleralpha.experiments import (
     RunConfig,
     make_initial_condition,
@@ -21,10 +21,10 @@ from euleralpha.experiments import (
     sweep_alpha,
     sweep_nu,
 )
-from euleralpha.integrators import StepperConfig, integrate, step_lie_trotter
+from euleralpha.integrators import StepperConfig, integrate
 from euleralpha.output import read_diagnostics, read_snapshot, snapshot_name
 from euleralpha.particles import ParticleMap, integrate_with_particles, jacobian_determinant
-from euleralpha.spectral import forward_transform, l2_norm
+from euleralpha.spectral import l2_norm
 
 from conftest import extrapolated_determinant, random_state, spectral_determinant
 
@@ -44,22 +44,9 @@ def _report(num: int, name: str, ok: bool, detail: str) -> str:
 
 def test_criterion_01_exact_single_mode_decay(grid32):
     started = time.perf_counter()
-    alpha, nu, dt, t_final = 0.5, 0.01, 0.01, 1.0
-    from euleralpha.dynamics import state_from_omega
-
-    state = state_from_omega(grid32, forward_transform(np.cos(2 * grid32.X)), alpha, nu=nu)
-    exact = np.exp(-0.02)  # exp(-nu k^2 t / (1 + a^2 k^2)), k^2 = 4
-
-    final = integrate(state, t_final, StepperConfig(dt=dt, scheme="rk4"))
-    amp = np.fft.ifft2(omega_from_q(grid32, final.q_hat, alpha)).real.max()
-    err_rk4 = abs(amp - exact) / exact
-
-    s = state
-    while s.t < t_final - 1e-12:
-        s = step_lie_trotter(s, min(dt, t_final - s.t))
-    amp_lt = np.fft.ifft2(omega_from_q(grid32, s.q_hat, alpha)).real.max()
-    err_lt = abs(amp_lt - exact) / exact
-
+    # alpha = 0.5, nu = 0.01, dt = 0.01 to t = 1: exact factor exp(-0.02)
+    err_rk4, err_lt = (single_mode_decay_error(grid32, 0.5, 0.01, 0.01, 1.0, scheme)
+                       for scheme in ("rk4", "lie_trotter"))
     elapsed = time.perf_counter() - started
     ok = err_rk4 <= 1e-9 and err_lt <= 1e-12 and elapsed < 1.0
     line = _report(1, "exact single-mode decay", ok,
@@ -71,18 +58,9 @@ def test_criterion_01_exact_single_mode_decay(grid32):
 def test_criterion_02_inviscid_conservation():
     started = time.perf_counter()
     state = make_initial_condition(BASE_FLOW)
-    d0 = compute_diagnostics(state)
-    drifts_e, drifts_c, means = [], [], []
-
-    def watch(step, s, d):
-        drifts_e.append(abs(d.energy - d0.energy) / d0.energy)
-        drifts_c.append(abs(d.casimir2 - d0.casimir2) / d0.casimir2)
-        means.append(d.mean_q)
-
-    integrate(state, 5.0, StepperConfig(dt=1e-3), observer=watch, observe_every=500)
+    e_drift, c_drift, mean = conservation_drifts(state, 5.0, StepperConfig(dt=1e-3), every=500)
     elapsed = time.perf_counter() - started
-    e_drift, c_drift = max(drifts_e), max(drifts_c)
-    mean_exact = all(m == 0.0 for m in means)
+    mean_exact = mean == 0.0
     ok = e_drift <= 1e-6 and c_drift <= 1e-5 and mean_exact and elapsed < 120
     line = _report(2, "inviscid conservation t=5", ok,
                    f"energy drift={e_drift:.2e} (<=1e-6), casimir2 drift={c_drift:.2e} "
@@ -96,11 +74,8 @@ def test_criterion_03_euler_poincare_vorticity_consistency(grid32):
     for seed in range(20):
         for alpha in (0.0, 0.25, 1.0):
             state = random_state(grid32, alpha=alpha, kmax=4, seed=seed)
-            hx, hy = ad_star_hats(state)
-            w = 1.0 + alpha**2 * grid32.K2
-            lhs = 1j * grid32.KX * (w * -hy) - 1j * grid32.KY * (w * -hx)
-            rhs = rhs_vorticity(state)
-            worst = max(worst, l2_norm(grid32, lhs - rhs) / l2_norm(grid32, rhs))
+            residual, rhs = cross_form_residual(state)
+            worst = max(worst, l2_norm(grid32, residual) / l2_norm(grid32, rhs))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 10
     line = _report(3, "Euler-Poincare vs vorticity form", ok,

@@ -144,3 +144,16 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_failing_check_exit_2(self, capsys, monkeypatch):
+        from euleralpha import checks
+
+        name, _, bounds = checks.CHECKS[0]
+        failing = (name, lambda grid: (1.0, 0.0), bounds)
+        monkeypatch.setattr(checks, "CHECKS", (failing, *checks.CHECKS[1:]))
+        assert main(["check"]) == 2
+        out = capsys.readouterr().out
+        assert f"FAIL  {name}: roundtrip=1.00e+00 (<1e-12)" in out
+        assert out.count("FAIL") == 1
+        assert "1 check(s) failed" in out
+        assert "all checks passed" not in out

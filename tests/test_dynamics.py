@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from euleralpha.checks import cross_form_residual, helmholtz_pair_residuals, leray_residuals
 from euleralpha.dynamics import (
     SimState,
     ad_star_hats,
@@ -85,9 +86,10 @@ class TestOmegaFromQ:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
     def test_helmholtz_inverse_pair(self, grid32, alpha):
+        # (1 - a^2 lap) omega_from_q(q) = q
         q = random_band_hat(grid32, 6, seed=2)
-        back = helmholtz(grid32, omega_from_q(grid32, q, alpha), alpha)
-        assert np.abs(back - q).max() <= 1e-13 * np.abs(q).max()
+        _, filter_of_inverse = helmholtz_pair_residuals(grid32, q, alpha)
+        assert filter_of_inverse <= 1e-13
 
 
 class TestVelocityFromQ:
@@ -222,9 +224,10 @@ class TestHalfSpectrumRhs:
 class TestLerayProjection:
     def test_annihilates_gradients(self, grid32):
         p_hat = random_band_hat(grid32, 6, seed=7)
-        gx, gy = 1j * grid32.KX * p_hat, 1j * grid32.KY * p_hat
-        px, py = leray_project_hats(grid32, gx, gy)
-        assert max(np.abs(px).max(), np.abs(py).max()) <= 1e-12 * np.abs(gx).max()
+        w_hats = random_band_hat(grid32, 6, seed=14), random_band_hat(grid32, 6, seed=15)
+        gradient_kill, residual_div = leray_residuals(grid32, p_hat, *w_hats)
+        assert gradient_kill <= 1e-12
+        assert residual_div <= 1e-12
 
     def test_fixes_divergence_free_fields(self, grid32):
         q = dealias(grid32, random_band_hat(grid32, 6, seed=8))
@@ -264,21 +267,16 @@ class TestAdStar:
     def test_single_shell_curl_free_acceleration(self, grid32):
         # du/dt = -ad*_u u must carry zero curl-content, matching rhs = 0
         state = single_shell_state(grid32, alpha=0.5)
-        hx, hy = ad_star_hats(state)
-        w = 1.0 + 0.5**2 * grid32.K2
-        curl = 1j * grid32.KX * (w * -hy) - 1j * grid32.KY * (w * -hx)
-        assert np.abs(curl).max() <= 1e-12 * np.abs(state.q_hat).max()
+        residual, rhs = cross_form_residual(state)
+        assert not rhs.any()
+        assert np.abs(residual).max() <= 1e-12 * np.abs(state.q_hat).max()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_cross_form_consistency(self, grid32, alpha, seed):
         # curl((1 - a^2 lap)(-ad*_u u)) + u.grad q = 0
-        state = random_state(grid32, alpha=alpha, seed=seed)
-        hx, hy = ad_star_hats(state)
-        w = 1.0 + alpha**2 * grid32.K2
-        lhs = 1j * grid32.KX * (w * -hy) - 1j * grid32.KY * (w * -hx)
-        rhs = rhs_vorticity(state)
-        assert l2_norm(grid32, lhs - rhs) <= 1e-10 * l2_norm(grid32, rhs)
+        residual, rhs = cross_form_residual(random_state(grid32, alpha=alpha, seed=seed))
+        assert l2_norm(grid32, residual) <= 1e-10 * l2_norm(grid32, rhs)
 
     def test_projection_filter_orders_agree(self, grid32):
         # ad*_u u projects, then filters: both are Fourier multipliers, so they commute
@@ -319,9 +317,13 @@ class TestDiagnostics:
         assert d.enstrophy == pytest.approx(2 * np.pi**2, rel=1e-12)
 
     def test_two_quadratures_agree(self, grid32):
+        # spectral energy_hats (inside compute_diagnostics) against the physical quadrature
         state = random_state(grid32, alpha=0.25, seed=31)
+        u_hats = velocity_hats_from_q(grid32, state.q_hat, 0.25)
+        v_hats = [helmholtz(grid32, h, 0.25) for h in u_hats]
+        quadrature = energy_quadrature(grid32, *physical(*u_hats, *v_hats))
         d = compute_diagnostics(state)
-        assert abs(d.energy - energy_quadrature(state)) <= 1e-11 * d.energy
+        assert abs(d.energy - quadrature) <= 1e-11 * d.energy
 
     def test_scaling_homogeneity(self, grid32):
         state = random_state(grid32, alpha=0.25, seed=32)

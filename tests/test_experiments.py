@@ -6,6 +6,7 @@ persisted runs, the snapshot/CSV formats, and the parameter sweeps.
 import numpy as np
 import pytest
 
+from euleralpha.checks import snapshot_roundtrip_error
 from euleralpha.dynamics import compute_diagnostics
 from euleralpha.experiments import (
     ConfigError,
@@ -235,14 +236,9 @@ class TestRun:
 
 class TestSnapshotFormat:
     def test_round_trip_bit_exact(self, tmp_path):
-        grid = TorusGrid(16)
-        rng = np.random.default_rng(3)
-        omega = rng.standard_normal((16, 16))
+        omega = np.random.default_rng(3).standard_normal((16, 16))
         path = tmp_path / "snap_00000000.eaf"
-        write_snapshot(path, 16, 0.25, 1e-3, 2.75, omega)
-        snap = read_snapshot(path)
-        assert (snap.n, snap.alpha, snap.nu, snap.time) == (16, 0.25, 1e-3, 2.75)
-        assert np.array_equal(snap.omega, omega)
+        assert snapshot_roundtrip_error(path, 16, 0.25, 1e-3, 2.75, omega) == 0.0
 
     def test_layout_row_major_y_fastest(self, tmp_path):
         omega = np.arange(64.0).reshape(8, 8)  # [ix, iy]
@@ -313,6 +309,35 @@ class TestSweepNu:
         serial = sweep_nu(cfg, nus, workers=1)
         parallel = sweep_nu(cfg, nus, workers=2)
         assert serial.distances_q == parallel.distances_q
+
+    def test_pool_no_larger_than_member_count(self, monkeypatch):
+        # an in-process stand-in: a real pool forks all max_workers at the first submit
+        from concurrent.futures import Future
+
+        from euleralpha import experiments
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        cfg = _sweep_cfg(t_final=0.05)
+        nus = (1e-2, 5e-3)
+        assert sweep_nu(cfg, nus, workers=64) == sweep_nu(cfg, nus, workers=1)
+        assert sizes == [3]  # two members and the inviscid reference
 
     def test_member_outputs_written(self, tmp_path):
         cfg = _sweep_cfg(t_final=0.05, out=str(tmp_path), save_every=1000, diag_every=5)

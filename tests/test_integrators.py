@@ -6,7 +6,8 @@ convergence orders, CFL rejection, and the integrate driver.
 import numpy as np
 import pytest
 
-from euleralpha.dynamics import compute_diagnostics, omega_from_q, state_from_omega
+from euleralpha.checks import conservation_drifts, semigroup_error, single_mode_decay_error
+from euleralpha.dynamics import omega_from_q, state_from_omega
 from euleralpha.integrators import (
     CflViolation,
     NumericsFailure,
@@ -105,9 +106,7 @@ class TestDiffusionSemigroup:
 
     def test_semigroup_law(self, grid32):
         state = random_state(grid32, alpha=0.5, nu=0.7, seed=4)
-        once = diffusion_semigroup(state, 1.1)
-        twice = diffusion_semigroup(diffusion_semigroup(state, 0.4), 0.7)
-        assert np.abs(once.q_hat - twice.q_hat).max() <= 1e-14 * np.abs(state.q_hat).max()
+        assert semigroup_error(state, 0.4, 0.7) <= 1e-14
 
     def test_strict_contraction_of_nonzero_modes(self, grid32):
         state = random_state(grid32, alpha=0.5, nu=0.2, seed=5)
@@ -150,14 +149,6 @@ class TestSplittingSteppers:
 
 
 class TestIntegrate:
-    def test_zero_span_returns_state_observer_once(self, grid16):
-        state = random_state(grid16, alpha=0.2, seed=8)
-        calls = []
-        out = integrate(state, state.t, StepperConfig(dt=0.1),
-                        observer=lambda s, st, d: calls.append((s, d.t)))
-        assert out is state
-        assert calls == [(0, 0.0)]
-
     def test_rejects_backward_target(self, grid16):
         state = random_state(grid16, alpha=0.2, seed=9).replace(t=1.0)
         with pytest.raises(ValueError):
@@ -167,19 +158,13 @@ class TestIntegrate:
         state = single_shell(grid32, alpha=0.5, nu=0.01)
         out = integrate(state, 0.25, StepperConfig(dt=0.1))
         assert out.t == 0.25
+        # advance yields every step, the shortened last one included
+        steps = list(advance(state, 0.25, StepperConfig(dt=0.1)))
+        assert [k for k, _ in steps] == [0, 1, 2, 3] and steps[-1][1].t == 0.25
+        assert integrate(state, state.t, StepperConfig(dt=0.1)) is state  # a zero span takes no step
 
     def test_single_shell_decay_through_driver(self, grid32):
-        state = single_shell(grid32, alpha=0.5, nu=0.01)
-        out = integrate(state, 1.0, StepperConfig(dt=0.01))
-        exact = np.exp(-0.02)
-        assert abs(omega_amplitude(out) - exact) / exact <= 1e-9
-
-    def test_observer_cadence_and_final_report(self, grid32):
-        state = single_shell(grid32, alpha=0.5, nu=0.01)
-        steps = []
-        integrate(state, 0.05, StepperConfig(dt=0.01),
-                  observer=lambda s, st, d: steps.append(s), observe_every=2)
-        assert steps == [0, 2, 4, 5]  # cadence plus the off-cadence terminal step
+        assert single_mode_decay_error(grid32, 0.5, 0.01, 0.01, 1.0, "rk4") <= 1e-9
 
     def test_nan_state_aborts(self, grid16):
         state = random_state(grid16, alpha=0.2, nu=0.0, seed=10)
@@ -189,10 +174,8 @@ class TestIntegrate:
 
     def test_energy_drift_tiny_over_unit_time(self, grid32):
         state = random_state(grid32, alpha=0.25, seed=11)
-        e0 = compute_diagnostics(state).energy
-        out = integrate(state, 1.0, StepperConfig(dt=2e-3))
-        ef = compute_diagnostics(out).energy
-        assert abs(ef - e0) / e0 <= 1e-8
+        energy_drift, _, _ = conservation_drifts(state, 1.0, StepperConfig(dt=2e-3), every=500)
+        assert energy_drift <= 1e-8
 
 
 class TestTimeReversal:
