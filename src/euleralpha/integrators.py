@@ -84,20 +84,21 @@ def _check_cfl(state: SimState, dt: float, cfl_limit: Optional[float]) -> None:
         raise CflViolation(cfl, cfl_limit, state.t)
 
 
-def _rk4_increment(state: SimState, dt: float) -> np.ndarray:
+def _rk4_update(state: SimState, dt: float) -> np.ndarray:
+    """q_hat after one classical RK4 step of dq/dt = rhs_vorticity, with the mean pinned to 0."""
     k1 = rhs_vorticity(state)
     k2 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k1, t=state.t + 0.5 * dt))
     k3 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k2, t=state.t + 0.5 * dt))
     k4 = rhs_vorticity(state.replace(q_hat=state.q_hat + dt * k3, t=state.t + dt))
-    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q_new = state.q_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q_new[0, 0] = 0.0
+    return q_new
 
 
 def step_rk4(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) -> SimState:
     """One classical RK4 step of the full vorticity equation."""
     _check_cfl(state, dt, cfl_limit)
-    q_new = state.q_hat + _rk4_increment(state, dt)
-    q_new[0, 0] = 0.0
-    return state.replace(q_hat=q_new, t=state.t + dt)
+    return state.replace(q_hat=_rk4_update(state, dt), t=state.t + dt)
 
 
 def diffusion_semigroup(state: SimState, dt: float) -> SimState:
@@ -119,8 +120,7 @@ def step_lie_trotter(state: SimState, dt: float, cfl_limit: Optional[float] = 0.
     """Diffusion semigroup over dt, then one inviscid transport step over dt."""
     _check_cfl(state, dt, cfl_limit)
     diffused = diffusion_semigroup(state, dt).q_hat
-    q_new = diffused + _rk4_increment(state.replace(q_hat=diffused, nu=0.0), dt)
-    q_new[0, 0] = 0.0
+    q_new = _rk4_update(state.replace(q_hat=diffused, nu=0.0), dt)
     return state.replace(q_hat=q_new, t=state.t + dt)
 
 
@@ -128,8 +128,7 @@ def step_strang(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) ->
     """Half-step diffusion, inviscid transport over dt, half-step diffusion."""
     _check_cfl(state, dt, cfl_limit)
     half = diffusion_semigroup(state, 0.5 * dt).q_hat
-    mid = half + _rk4_increment(state.replace(q_hat=half, nu=0.0), dt)
-    mid[0, 0] = 0.0
+    mid = _rk4_update(state.replace(q_hat=half, nu=0.0), dt)
     out = diffusion_semigroup(state.replace(q_hat=mid), 0.5 * dt)
     return out.replace(t=state.t + dt)
 

@@ -149,7 +149,7 @@ class TestCheckCommand:
         from euleralpha import checks
 
         name, _, bounds = checks.CHECKS[0]
-        failing = (name, lambda grid: (1.0, 0.0), bounds)
+        failing = (name, lambda: (1.0, 0.0), bounds)
         monkeypatch.setattr(checks, "CHECKS", (failing, *checks.CHECKS[1:]))
         assert main(["check"]) == 2
         out = capsys.readouterr().out

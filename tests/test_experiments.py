@@ -3,6 +3,8 @@ Tests for the experiment harness: config parsing, initial conditions,
 persisted runs, the snapshot/CSV formats, and the parameter sweeps.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,19 @@ class TestSnapshotFormat:
         omega = np.random.default_rng(3).standard_normal((16, 16))
         path = tmp_path / "snap_00000000.eaf"
         assert snapshot_roundtrip_error(path, 16, 0.25, 1e-3, 2.75, omega) == 0.0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda snap: dataclasses.replace(snap, omega=np.full_like(snap.omega, np.nan)),
+        lambda snap: dataclasses.replace(snap, alpha=np.nan),
+        lambda snap: dataclasses.replace(snap, omega=snap.omega[np.newaxis]),
+    ], ids=["nan-samples", "nan-header", "wrong-shape"])
+    def test_round_trip_error_sees_a_corrupt_read(self, tmp_path, monkeypatch, corrupt):
+        from euleralpha import checks
+
+        monkeypatch.setattr(checks, "read_snapshot", lambda path: corrupt(read_snapshot(path)))
+        omega = np.random.default_rng(3).standard_normal((16, 16))
+        err = snapshot_roundtrip_error(tmp_path / "s.eaf", 16, 0.25, 1e-3, 2.75, omega)
+        assert not err <= 0.0
 
     def test_layout_row_major_y_fastest(self, tmp_path):
         omega = np.arange(64.0).reshape(8, 8)  # [ix, iy]

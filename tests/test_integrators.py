@@ -177,6 +177,15 @@ class TestIntegrate:
         energy_drift, _, _ = conservation_drifts(state, 1.0, StepperConfig(dt=2e-3), every=500)
         assert energy_drift <= 1e-8
 
+    def test_drifts_include_the_off_cadence_final_state(self, grid32):
+        # viscous decay makes every drift grow step by step, so the largest
+        # is the final state's (step 5, off the every-2 cadence)
+        state = random_state(grid32, alpha=0.25, nu=0.05, seed=11)
+        cfg = StepperConfig(dt=0.01)
+        every_step = conservation_drifts(state, 0.05, cfg, every=1)
+        assert every_step[0] > 0.0 and every_step[1] > 0.0
+        assert conservation_drifts(state, 0.05, cfg, every=2) == every_step
+
 
 class TestTimeReversal:
     @pytest.mark.parametrize("scheme", ["rk4", "lie_trotter", "strang"])
