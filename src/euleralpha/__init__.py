@@ -36,7 +36,6 @@ from .dynamics import (  # noqa: F401
 from .integrators import (  # noqa: F401
     CflViolation,
     NumericsFailure,
-    StepperConfig,
     cfl_number,
     diffusion_semigroup,
     integrate,

@@ -26,7 +26,7 @@ from .dynamics import (
     state_from_omega,
 )
 from .experiments import _random_band_hat
-from .integrators import StepperConfig, advance, diffusion_semigroup, integrate
+from .integrators import advance, diffusion_semigroup, integrate
 from .output import read_snapshot, write_snapshot
 from .particles import ParticleMap, jacobian_determinant
 from .spectral import (
@@ -69,7 +69,7 @@ def single_mode_decay_error(
     """
     state = state_from_omega(grid, forward_transform(np.cos(2.0 * grid.X)), alpha, nu=nu)
     exact = np.exp(-nu * 4.0 * t_final / (1.0 + alpha**2 * 4.0))
-    final = integrate(state, t_final, StepperConfig(dt=dt, scheme=scheme))
+    final = integrate(state, t_final, dt, scheme)
     peak = _ifft_real(omega_from_q(grid, final.q_hat, alpha)).max()
     return float(abs(peak - exact) / exact)
 
@@ -105,15 +105,15 @@ def leray_residuals(
 
 
 def conservation_drifts(
-    state: SimState, t_final: float, config: StepperConfig, every: int
+    state: SimState, t_final: float, dt: float, every: int
 ) -> tuple[float, float, float]:
     """
     Max relative drifts of the energy and of int q^2, and max |int q|, over
-    the states at every ``every``-th step and at ``t_final``.
+    the states at every ``every``-th RK4 step of size ``dt`` and at ``t_final``.
     """
     d0 = compute_diagnostics(state)
     energy = casimir2 = mean = 0.0
-    for step, s in advance(state, t_final, config):
+    for step, s in advance(state, t_final, dt):
         if step % every == 0 or s.t == t_final:
             d = compute_diagnostics(s)
             energy = max(energy, abs(d.energy - d0.energy) / d0.energy)
@@ -198,7 +198,7 @@ CHECKS = (
      (("gradient-kill", 1e-12, True), ("residual-div", 1e-12, True))),
     ("inviscid conservation (t=1)",
      lambda: conservation_drifts(state_from_omega(_GRID, _random_band_limited(4, seed=31), 0.25),
-                                 1.0, StepperConfig(dt=2e-3), every=500),
+                                 1.0, 2e-3, every=500),
      (("energy", 1e-8, False), ("casimir2", 1e-7, False), ("mean_q", 0.0, False))),
     ("diffusion semigroup law",
      lambda: [semigroup_error(SimState(_GRID, _random_band_limited(9, seed=41), 0.5, nu=0.3),

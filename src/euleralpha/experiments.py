@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -37,7 +38,7 @@ from .dynamics import (
     state_from_omega,
     velocity_hats_from_q,
 )
-from .integrators import SCHEMES, CflViolation, NumericsFailure, StepperConfig, advance, integrate
+from .integrators import SCHEMES, CflViolation, NumericsFailure, advance, integrate
 from .output import DiagnosticsLog, snapshot_name, write_manifest, write_snapshot
 from .spectral import TorusGrid, _ifft_real, forward_transform, helmholtz, l2_norm
 
@@ -46,6 +47,16 @@ IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad key, value, or combination)."""
+
+
+def _check_alpha(alpha: float, n: int) -> None:
+    """ConfigError unless alpha^2 n^2, which bounds alpha^2 |k|^2 on an n-grid, is a finite float."""
+    try:
+        finite = math.isfinite(alpha**2 * n**2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"alpha={alpha} is too large for n={n}: alpha^2 n^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
         if self.alpha < 0 or self.nu < 0:
             raise ConfigError("alpha and nu must be >= 0")
+        _check_alpha(self.alpha, self.n)
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_final < 0:
@@ -102,13 +114,12 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.out is not None and not self.out.strip():
             raise ConfigError("out must name a directory, got an empty value")
+        if self.out is not None and "\0" in self.out:
+            raise ConfigError(f"out must not contain a NUL character, got {self.out!r}")
         return self
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
-
-    def stepper(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, scheme=self.scheme)
 
 
 _INT_KEYS = ("n", "seed", "save_every", "diag_every", "workers", "ic_kx", "ic_ky", "ic_band")
@@ -156,9 +167,11 @@ def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
     entries: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         entries.update(parse_config_text(text))
     for key, value in (overrides or {}).items():
         if value is None:
@@ -266,7 +279,7 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
 
     log = DiagnosticsLog()
     try:
-        for step, state in advance(state, cfg.t_final, cfg.stepper()):
+        for step, state in advance(state, cfg.t_final, cfg.dt, cfg.scheme):
             # the terminal state is always recorded, even off-cadence
             last = state.t == cfg.t_final
             if step % cfg.diag_every == 0 or last:
@@ -333,7 +346,7 @@ def _terminal_q(cfg: RunConfig, omega_bytes: bytes) -> np.ndarray:
     if cfg.out is not None:
         return run(cfg, omega_hat=omega_hat).q_hat
     state = state_from_omega(TorusGrid(cfg.n), omega_hat, cfg.alpha, nu=cfg.nu)
-    return integrate(state, cfg.t_final, cfg.stepper()).q_hat
+    return integrate(state, cfg.t_final, cfg.dt, cfg.scheme).q_hat
 
 
 def _map_members(configs, omega_bytes: bytes, labels, workers: int):
@@ -428,6 +441,8 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
     alpha_list = _finite_list("alpha_list", alpha_list)
     if not alpha_list or any(v < 0 for v in alpha_list):
         raise ConfigError("alpha_list must be non-empty and >= 0")
+    for v in alpha_list:
+        _check_alpha(v, cfg.n)
     if any(b >= a for a, b in zip(alpha_list, alpha_list[1:])):
         raise ConfigError("alpha_list must be strictly descending")
     members = [

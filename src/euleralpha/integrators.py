@@ -17,14 +17,14 @@ Lie-Trotter step is fixed as diffusion first (both orders are first-order
 accurate; one had to be picked).
 
 Every step re-pins the mean of q to zero and advances t; a step whose CFL
-number max|u| dt / h exceeds the configured limit is rejected by raising
-:class:`CflViolation`.
+number max|u| dt / h exceeds :data:`CFL_LIMIT` is rejected by raising
+:class:`CflViolation`. The one time loop, :func:`_march`, rejects a dt
+that is not positive and finite and a t_final that is not finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +32,15 @@ from .dynamics import SimState, max_speed, rhs_vorticity
 
 SCHEMES = ("rk4", "lie_trotter", "strang")
 
+#: largest advective CFL number max|u| dt / h a step accepts
+CFL_LIMIT = 0.5
+
 #: leave sub-femtosecond residual intervals to roundoff
 _TIME_ATOL = 1e-12
 
 
 class CflViolation(RuntimeError):
-    """Step rejected: advective CFL number beyond the configured limit."""
+    """Step rejected: advective CFL number beyond :data:`CFL_LIMIT`."""
 
     def __init__(self, cfl: float, limit: float, t: float):
         super().__init__(f"CFL number {cfl:.3f} exceeds limit {limit:.3f} at t={t:.6g}")
@@ -54,34 +57,15 @@ class NumericsFailure(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class StepperConfig:
-    """Time-stepping configuration."""
-
-    dt: float
-    scheme: str = "rk4"
-    cfl_limit: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if not (0.0 < self.cfl_limit <= 1.0):
-            raise ValueError(f"cfl_limit must lie in (0, 1], got {self.cfl_limit}")
-
-
 def cfl_number(state: SimState, dt: float) -> float:
     """Advective CFL number max|u| * dt / h."""
     return max_speed(state) * dt / state.grid.h
 
 
-def _check_cfl(state: SimState, dt: float, cfl_limit: Optional[float]) -> None:
-    if cfl_limit is None:
-        return
+def _check_cfl(state: SimState, dt: float) -> None:
     cfl = cfl_number(state, dt)
-    if cfl > cfl_limit:
-        raise CflViolation(cfl, cfl_limit, state.t)
+    if cfl > CFL_LIMIT:
+        raise CflViolation(cfl, CFL_LIMIT, state.t)
 
 
 def _rk4_update(state: SimState, dt: float) -> np.ndarray:
@@ -95,9 +79,9 @@ def _rk4_update(state: SimState, dt: float) -> np.ndarray:
     return q_new
 
 
-def step_rk4(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) -> SimState:
+def step_rk4(state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the full vorticity equation."""
-    _check_cfl(state, dt, cfl_limit)
+    _check_cfl(state, dt)
     return state.replace(q_hat=_rk4_update(state, dt), t=state.t + dt)
 
 
@@ -116,17 +100,17 @@ def diffusion_semigroup(state: SimState, dt: float) -> SimState:
     return state.replace(q_hat=state.q_hat * decay, t=state.t + dt)
 
 
-def step_lie_trotter(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) -> SimState:
+def step_lie_trotter(state: SimState, dt: float) -> SimState:
     """Diffusion semigroup over dt, then one inviscid transport step over dt."""
-    _check_cfl(state, dt, cfl_limit)
+    _check_cfl(state, dt)
     diffused = diffusion_semigroup(state, dt).q_hat
     q_new = _rk4_update(state.replace(q_hat=diffused, nu=0.0), dt)
     return state.replace(q_hat=q_new, t=state.t + dt)
 
 
-def step_strang(state: SimState, dt: float, cfl_limit: Optional[float] = 0.5) -> SimState:
+def step_strang(state: SimState, dt: float) -> SimState:
     """Half-step diffusion, inviscid transport over dt, half-step diffusion."""
-    _check_cfl(state, dt, cfl_limit)
+    _check_cfl(state, dt)
     half = diffusion_semigroup(state, 0.5 * dt).q_hat
     mid = _rk4_update(state.replace(q_hat=half, nu=0.0), dt)
     out = diffusion_semigroup(state.replace(q_hat=mid), 0.5 * dt)
@@ -147,8 +131,14 @@ def _march(state: SimState, t_final: float, dt: float, step: Callable):
 
     The final partial step is shortened so the last state lands exactly on
     t_final; every earlier state has t < t_final. Non-finite states abort
-    with :class:`NumericsFailure`.
+    with :class:`NumericsFailure`. A dt that is not positive and finite, or
+    a t_final that is not finite or precedes ``state.t``, raises
+    ``ValueError`` before the first state is yielded.
     """
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < state.t:
         raise ValueError(f"t_final={t_final} precedes the state time {state.t}")
     t0 = state.t
@@ -167,19 +157,21 @@ def _march(state: SimState, t_final: float, dt: float, step: Callable):
         yield k, state
 
 
-def advance(state: SimState, t_final: float, config: StepperConfig):
+def advance(state: SimState, t_final: float, dt: float, scheme: str = "rk4"):
     """
-    Generate ``(step_index, state)`` pairs from ``state.t`` to ``t_final``.
+    Generate ``(step_index, state)`` pairs from ``state.t`` to ``t_final``
+    with the ``scheme`` stepper (one of :data:`SCHEMES`).
 
     The final partial step is shortened so the last state lands exactly on
     t_final. Non-finite states abort with :class:`NumericsFailure`.
     """
-    stepper = STEPPERS[config.scheme]
-    yield from _march(state, t_final, config.dt, lambda s, dt: stepper(s, dt, config.cfl_limit))
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    yield from _march(state, t_final, dt, STEPPERS[scheme])
 
 
-def integrate(state: SimState, t_final: float, config: StepperConfig) -> SimState:
+def integrate(state: SimState, t_final: float, dt: float, scheme: str = "rk4") -> SimState:
     """Step ``state`` to ``t_final``; returns the final state (t == t_final exactly)."""
-    for _, state in advance(state, t_final, config):
+    for _, state in advance(state, t_final, dt, scheme):
         pass
     return state

@@ -19,7 +19,6 @@ single matrix product, which is fine at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,37 +90,15 @@ def eval_velocity_at(
     return np.ascontiguousarray(np.einsum("ckm,km->mc", amp, ey).real)
 
 
-def _half_steps(state: SimState, dt: float, cfl_limit: Optional[float]):
-    """Two Eulerian half steps over dt: the state at t + dt and the three stage velocities."""
-    half = step_rk4(state, 0.5 * dt, cfl_limit)
-    full = step_rk4(half, 0.5 * dt, cfl_limit)
-    # a non-finite value at t or t + dt/2 carries through to t + dt; stop
-    # before any marker is moved by it
-    if not np.all(np.isfinite(full.q_hat)):
-        raise NumericsFailure(full.t)
-    stages = tuple(velocity_hats_from_q(s.grid, s.q_hat, s.alpha) for s in (state, half, full))
-    return full, stages
-
-
-def advect_particles(
-    pm: ParticleMap,
-    state: SimState,
-    dt: float,
-    stages: Optional[tuple] = None,
-    cfl_limit: Optional[float] = 0.5,
-) -> ParticleMap:
+def advect_particles(pm: ParticleMap, state: SimState, dt: float, stages: tuple) -> ParticleMap:
     """
     One RK4 step of dx/dt = u(t, x) for every marker.
 
-    The velocity is frozen per substage from the concurrently integrated
-    Eulerian state: stages use u at t, t + dt/2 and t + dt. ``stages`` may
-    supply those three spectral velocity pairs (as produced by a coupled
-    driver); otherwise they are computed here by two Eulerian half steps,
-    and a non-finite field raises :class:`NumericsFailure`.
+    ``stages`` holds the spectral velocity pairs (u_x, u_y) at t, t + dt/2
+    and t + dt, as the coupled driver produces them; ``state`` supplies the
+    grid. Only the markers move.
     """
     grid = state.grid
-    if stages is None:
-        _, stages = _half_steps(state, dt, cfl_limit)
     u0, u_half, u1 = stages
 
     x = pm.positions
@@ -133,31 +110,31 @@ def advect_particles(
     return ParticleMap(m=pm.m, positions=new_pos, ref_positions=pm.ref_positions)
 
 
-def integrate_with_particles(
-    state: SimState,
-    pm: ParticleMap,
-    t_final: float,
-    dt: float,
-    cfl_limit: Optional[float] = 0.5,
-    observer=None,
-):
+def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, dt: float):
     """
     Co-integrate the Eulerian state and the marker map to ``t_final``.
 
     The Eulerian field advances by half steps of dt/2 so each marker RK4
     step sees u at t, t + dt/2, t + dt. The final partial step is
     shortened. A non-finite field raises :class:`NumericsFailure` before
-    the markers move. Returns ``(state, pm)`` at t_final.
+    the markers move; a bad dt or t_final raises ``ValueError`` as
+    :func:`~euleralpha.integrators.integrate` does. Returns ``(state, pm)``
+    at t_final.
     """
     def coupled(s: SimState, step_dt: float) -> SimState:
         nonlocal pm
-        full, stages = _half_steps(s, step_dt, cfl_limit)
-        pm = advect_particles(pm, s, step_dt, stages=stages)
+        half = step_rk4(s, 0.5 * step_dt)
+        full = step_rk4(half, 0.5 * step_dt)
+        # a non-finite value at t or t + dt/2 carries through to t + dt; stop
+        # before any marker is moved by it
+        if not np.all(np.isfinite(full.q_hat)):
+            raise NumericsFailure(full.t)
+        stages = tuple(velocity_hats_from_q(x.grid, x.q_hat, x.alpha) for x in (s, half, full))
+        pm = advect_particles(pm, s, step_dt, stages)
         return full
 
-    for k, state in _march(state, t_final, dt, coupled):
-        if observer is not None and k > 0:
-            observer(state, pm)
+    for _, state in _march(state, t_final, dt, coupled):
+        pass
     return state, pm
 
 

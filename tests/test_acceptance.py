@@ -21,7 +21,7 @@ from euleralpha.experiments import (
     sweep_alpha,
     sweep_nu,
 )
-from euleralpha.integrators import StepperConfig, integrate
+from euleralpha.integrators import integrate
 from euleralpha.output import read_diagnostics, read_snapshot, snapshot_name
 from euleralpha.particles import ParticleMap, integrate_with_particles, jacobian_determinant
 from euleralpha.spectral import l2_norm
@@ -58,7 +58,7 @@ def test_criterion_01_exact_single_mode_decay(grid32):
 def test_criterion_02_inviscid_conservation():
     started = time.perf_counter()
     state = make_initial_condition(BASE_FLOW)
-    e_drift, c_drift, mean = conservation_drifts(state, 5.0, StepperConfig(dt=1e-3), every=500)
+    e_drift, c_drift, mean = conservation_drifts(state, 5.0, 1e-3, every=500)
     elapsed = time.perf_counter() - started
     mean_exact = mean == 0.0
     ok = e_drift <= 1e-6 and c_drift <= 1e-5 and mean_exact and elapsed < 120
@@ -163,10 +163,9 @@ def test_criterion_07_flow_map_volume_preservation():
 def test_criterion_08_time_reversal():
     started = time.perf_counter()
     state = make_initial_condition(BASE_FLOW)
-    cfg = StepperConfig(dt=1e-3)
-    fwd = integrate(state, 2.0, cfg)
+    fwd = integrate(state, 2.0, 1e-3)
     rev = fwd.replace(q_hat=-fwd.q_hat, t=0.0)
-    back = integrate(rev, 2.0, cfg)
+    back = integrate(rev, 2.0, 1e-3)
     err = l2_norm(state.grid, -back.q_hat - state.q_hat) / l2_norm(state.grid, state.q_hat)
     elapsed = time.perf_counter() - started
     ok = err <= 1e-8 and elapsed < 120

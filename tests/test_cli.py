@@ -74,6 +74,21 @@ class TestRunCommand:
             [] if spelling == "flag" else ["exp.cfg"]
         )
 
+    @pytest.mark.parametrize("content, message", [
+        ("n = 16\nout = r\xe9sultats\n".encode("latin-1"), "config file exp.cfg is not UTF-8"),
+        (b"n = 16\nout = a\0b\n", "out must not contain a NUL character"),
+    ], ids=["not_utf8", "nul_in_out"])
+    def test_bad_config_bytes_are_config_errors(self, content, message, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(content)
+        args = ["run", "--config", "exp.cfg", "--ic", "single_mode", "--t-final", "0.01"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     def test_cfl_violation_exit_2(self, tmp_path, capsys):
         # amplitude 100 -> max|u| = 50, dt = 0.1 -> CFL ~ 25 >> 0.5
         code = main(run_args(tmp_path, ic_amplitude="100", dt="0.1", t_final="1.0"))
@@ -124,6 +139,20 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert err.count("configuration error:") == 1 and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--alpha", "1e155", "--out", "X"]),
+        ("sweep-alpha", ["--alpha-list", "1e155,1"]),
+    ], ids=["run", "sweep-alpha"])
+    def test_overflowing_alpha_is_config_error(self, command, flags, tmp_path, monkeypatch,
+                                               capsys):
+        # 1e155**2 overflows a float: the Helmholtz operator would raise OverflowError
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--n", "16", "--t-final", "0.01", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: alpha=1e+155") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_dead_worker_is_one_line_exit_3(self, monkeypatch, capsys):
         # the pool forks after the patch, so both workers run _worker_dies

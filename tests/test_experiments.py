@@ -85,6 +85,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="out must name a directory"):
             RunConfig(out=out).validate()
 
+    def test_overflowing_alpha_rejected(self):
+        # alpha^2 = 1e308 is finite, but alpha^2 n^2 at n = 64 is not;
+        # at alpha = 1e150 both are
+        with pytest.raises(ConfigError, match="alpha=1e\\+154 is too large for n=64"):
+            RunConfig(alpha=1e154).validate()
+        assert RunConfig(alpha=1e150).validate().alpha == 1e150
+
     def test_list_coercion(self):
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
         assert cfg.dt_list == (0.02, 0.01, 0.005)

@@ -9,10 +9,11 @@ import pytest
 from euleralpha.checks import conservation_drifts, semigroup_error, single_mode_decay_error
 from euleralpha.dynamics import omega_from_q, state_from_omega
 from euleralpha.integrators import (
+    CFL_LIMIT,
     CflViolation,
     NumericsFailure,
+    SCHEMES,
     STEPPERS,
-    StepperConfig,
     advance,
     cfl_number,
     diffusion_semigroup,
@@ -38,16 +39,25 @@ def observed_order(dts, errors):
     return slope
 
 
-class TestStepperConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, scheme="euler")
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, cfl_limit=0.0)
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, cfl_limit=1.5)
+class TestLoopChecks:
+    # the time loop's own input checks, shared by every driver
+    @pytest.mark.parametrize("dt, t_final", [
+        (0.0, 0.5), (-0.01, 0.5), (np.nan, 0.5), (np.inf, 0.5), (0.1, np.nan), (0.1, np.inf),
+    ])
+    def test_rejects_bad_dt_and_t_final(self, grid16, dt, t_final):
+        state = random_state(grid16, alpha=0.2, seed=9)
+        with pytest.raises(ValueError, match="dt must be|t_final must be"):
+            list(advance(state, t_final, dt))
+        with pytest.raises(ValueError, match="dt must be|t_final must be"):
+            integrate(state, t_final, dt)
+
+    def test_rejects_unknown_scheme(self, grid16):
+        state = random_state(grid16, alpha=0.2, seed=9)
+        with pytest.raises(ValueError, match="expected one of") as err:
+            list(advance(state, 0.5, 0.1, scheme="euler"))
+        assert str(SCHEMES) in str(err.value)
+        with pytest.raises(ValueError, match="expected one of"):
+            integrate(state, 0.5, 0.1, scheme="euler")
 
 
 class TestStepRk4:
@@ -71,8 +81,8 @@ class TestStepRk4:
         dts = (0.08, 0.04, 0.02, 0.01)
         errs = []
         for dt in dts:
-            one = step_rk4(state, dt, cfl_limit=None)
-            two = step_rk4(step_rk4(state, dt / 2, cfl_limit=None), dt / 2, cfl_limit=None)
+            one = step_rk4(state, dt)
+            two = step_rk4(step_rk4(state, dt / 2), dt / 2)
             errs.append(l2_norm(grid32, one.q_hat - two.q_hat))
         assert observed_order(dts, errs) >= 3.8
 
@@ -80,8 +90,9 @@ class TestStepRk4:
         state = single_shell(grid32, alpha=0.0)  # max|u| = 1/2
         dt = 1.5 * grid32.h  # cfl = 0.75
         with pytest.raises(CflViolation) as err:
-            step_rk4(state, dt, cfl_limit=0.5)
+            step_rk4(state, dt)
         assert err.value.cfl == pytest.approx(0.75, rel=1e-12)
+        assert err.value.limit == CFL_LIMIT
         assert cfl_number(state, dt) == pytest.approx(0.75, rel=1e-12)
 
     def test_mean_mode_stays_zero(self, grid32):
@@ -135,14 +146,12 @@ class TestSplittingSteppers:
         # generic viscous problem: first order for Lie-Trotter, second for Strang
         state = random_state(grid32, alpha=0.25, nu=0.05, seed=7)
         t_final = 0.25
-        ref = state
-        cfg = StepperConfig(dt=0.25e-3, scheme="rk4")
-        ref = integrate(state, t_final, cfg)
+        ref = integrate(state, t_final, 0.25e-3)
         dts = (0.025, 0.0125, 0.00625)
         for scheme, window in (("lie_trotter", (0.8, 1.2)), ("strang", (1.8, 2.2))):
             errs = []
             for dt in dts:
-                out = integrate(state, t_final, StepperConfig(dt=dt, scheme=scheme))
+                out = integrate(state, t_final, dt, scheme)
                 errs.append(l2_norm(grid32, out.q_hat - ref.q_hat))
             order = observed_order(dts, errs)
             assert window[0] <= order <= window[1], (scheme, order, errs)
@@ -152,16 +161,16 @@ class TestIntegrate:
     def test_rejects_backward_target(self, grid16):
         state = random_state(grid16, alpha=0.2, seed=9).replace(t=1.0)
         with pytest.raises(ValueError):
-            integrate(state, 0.5, StepperConfig(dt=0.1))
+            integrate(state, 0.5, 0.1)
 
     def test_final_partial_step_lands_exactly(self, grid32):
         state = single_shell(grid32, alpha=0.5, nu=0.01)
-        out = integrate(state, 0.25, StepperConfig(dt=0.1))
+        out = integrate(state, 0.25, 0.1)
         assert out.t == 0.25
         # advance yields every step, the shortened last one included
-        steps = list(advance(state, 0.25, StepperConfig(dt=0.1)))
+        steps = list(advance(state, 0.25, 0.1))
         assert [k for k, _ in steps] == [0, 1, 2, 3] and steps[-1][1].t == 0.25
-        assert integrate(state, state.t, StepperConfig(dt=0.1)) is state  # a zero span takes no step
+        assert integrate(state, state.t, 0.1) is state  # a zero span takes no step
 
     def test_single_shell_decay_through_driver(self, grid32):
         assert single_mode_decay_error(grid32, 0.5, 0.01, 0.01, 1.0, "rk4") <= 1e-9
@@ -170,30 +179,28 @@ class TestIntegrate:
         state = random_state(grid16, alpha=0.2, nu=0.0, seed=10)
         bad = state.replace(q_hat=state.q_hat * np.nan)
         with pytest.raises(NumericsFailure):
-            list(advance(bad, 1.0, StepperConfig(dt=0.1, scheme="rk4")))
+            list(advance(bad, 1.0, 0.1))
 
     def test_energy_drift_tiny_over_unit_time(self, grid32):
         state = random_state(grid32, alpha=0.25, seed=11)
-        energy_drift, _, _ = conservation_drifts(state, 1.0, StepperConfig(dt=2e-3), every=500)
+        energy_drift, _, _ = conservation_drifts(state, 1.0, 2e-3, every=500)
         assert energy_drift <= 1e-8
 
     def test_drifts_include_the_off_cadence_final_state(self, grid32):
         # viscous decay makes every drift grow step by step, so the largest
         # is the final state's (step 5, off the every-2 cadence)
         state = random_state(grid32, alpha=0.25, nu=0.05, seed=11)
-        cfg = StepperConfig(dt=0.01)
-        every_step = conservation_drifts(state, 0.05, cfg, every=1)
+        every_step = conservation_drifts(state, 0.05, 0.01, every=1)
         assert every_step[0] > 0.0 and every_step[1] > 0.0
-        assert conservation_drifts(state, 0.05, cfg, every=2) == every_step
+        assert conservation_drifts(state, 0.05, 0.01, every=2) == every_step
 
 
 class TestTimeReversal:
     @pytest.mark.parametrize("scheme", ["rk4", "lie_trotter", "strang"])
     def test_inviscid_reversal_recovers_ic(self, grid32, scheme):
         state = random_state(grid32, alpha=0.25, seed=12)
-        cfg = StepperConfig(dt=2e-3, scheme=scheme)
-        fwd = integrate(state, 0.5, cfg)
+        fwd = integrate(state, 0.5, 2e-3, scheme)
         rev = fwd.replace(q_hat=-fwd.q_hat, t=0.0)
-        back = integrate(rev, 0.5, cfg)
+        back = integrate(rev, 0.5, 2e-3, scheme)
         err = l2_norm(grid32, -back.q_hat - state.q_hat) / l2_norm(grid32, state.q_hat)
         assert err <= 1e-10

@@ -6,9 +6,10 @@ marker advection, and the volume-preservation diagnostic.
 import numpy as np
 import pytest
 
+from euleralpha import particles
 from euleralpha.checks import affine_jacobian_deviation
 from euleralpha.dynamics import compute_diagnostics, velocity_hats_from_q
-from euleralpha.integrators import NumericsFailure
+from euleralpha.integrators import NumericsFailure, step_rk4
 from euleralpha.particles import (
     ParticleMap,
     advect_particles,
@@ -55,6 +56,12 @@ def steady_shear_state(grid, alpha=0.5):
     from euleralpha.dynamics import state_from_omega
 
     return state_from_omega(grid, forward_transform(np.cos(2 * grid.X)), alpha)
+
+
+def steady_stages(state):
+    """The stage velocities of a steady state: its own velocity pair, three times."""
+    u = velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
+    return (u, u, u)
 
 
 class TestParticleMap:
@@ -142,7 +149,7 @@ class TestAdvectParticles:
 
         state = state_from_omega(grid16, np.zeros((16, 16), dtype=complex), 0.5)
         pm = ParticleMap.lattice(4)
-        out = advect_particles(pm, state, 0.3)
+        out = advect_particles(pm, state, 0.3, steady_stages(state))
         assert np.array_equal(out.positions, pm.positions)
 
     def test_steady_shear_closed_form(self, grid32):
@@ -153,8 +160,9 @@ class TestAdvectParticles:
             positions=np.array([[np.pi / 4, 1.0], [np.pi / 2, 1.0], [1.0, 2.0]]),
             ref_positions=np.zeros((3, 2)),
         )
+        stages = steady_stages(state)
         for _ in range(10):
-            pm = advect_particles(pm, state, 0.1)
+            pm = advect_particles(pm, state, 0.1, stages)
         assert pm.positions[0, 0] == pytest.approx(np.pi / 4, abs=1e-12)
         assert pm.positions[0, 1] == pytest.approx(1.5, abs=1e-12)
         # at x = pi/2 the velocity vanishes: the marker must not move at all
@@ -163,7 +171,7 @@ class TestAdvectParticles:
     def test_x_coordinates_invariant_under_shear(self, grid32):
         state = steady_shear_state(grid32)
         pm = ParticleMap.lattice(4)
-        out = advect_particles(pm, state, 0.25)
+        out = advect_particles(pm, state, 0.25, steady_stages(state))
         assert np.abs(out.positions[:, 0] - pm.positions[:, 0]).max() <= 1e-13
 
 
@@ -261,11 +269,11 @@ class TestCoupledIntegration:
         # stays constant through the coupled run (inviscid)
         state = random_state(grid32, alpha=0.25, seed=6)
         e0 = compute_diagnostics(state).energy
+        pm = ParticleMap.lattice(8)
         series = []
-        integrate_with_particles(
-            state, ParticleMap.lattice(8), 0.5, dt=0.025,
-            observer=lambda s, p: series.append(compute_diagnostics(s).energy),
-        )
+        for k in range(1, 21):
+            state, pm = integrate_with_particles(state, pm, 0.025 * k, dt=0.025)
+            series.append(compute_diagnostics(state).energy)
         drift = max(abs(e - e0) / e0 for e in series)
         assert drift <= 1e-9
 
@@ -278,32 +286,42 @@ class TestCoupledIntegration:
             positions=np.array([[np.pi / 4, 5.0], [np.pi / 4, 6.0], [np.pi / 4, 0.0]]),
             ref_positions=np.zeros((3, 2)),
         )
-        _, out = integrate_with_particles(amplified, pm, 1.0, dt=0.01, cfl_limit=None)
+        _, out = integrate_with_particles(amplified, pm, 1.0, dt=0.01)
         # u_y = 15 sin(2x): at x=pi/4 the marker travels +15 in y
         assert out.positions[0, 1] == pytest.approx(20.0, rel=1e-9)
         assert out.positions[0, 1] > 2 * np.pi
 
-    def test_lands_on_target_and_observes_every_step(self, grid16):
+    def test_lands_on_target_and_observes_every_step(self, grid16, monkeypatch):
+        # 0.13 / 0.025: five full steps and a shortened sixth, each made of
+        # two Eulerian half steps
+        calls = []
+
+        def counting_step(state, dt):
+            calls.append(dt)
+            return step_rk4(state, dt)
+
+        monkeypatch.setattr(particles, "step_rk4", counting_step)
         state = random_state(grid16, alpha=0.25, seed=7)
-        times = []
-        out, _ = integrate_with_particles(
-            state, ParticleMap.lattice(4), 0.13, dt=0.025,
-            observer=lambda s, p: times.append(s.t),
-        )
+        out, _ = integrate_with_particles(state, ParticleMap.lattice(4), 0.13, dt=0.025)
         assert out.t == 0.13
-        assert len(times) == 6 and times[-1] == 0.13
+        assert len(calls) == 12
 
     def test_rejects_backward_target(self, grid16):
         state = random_state(grid16, alpha=0.25, seed=7).replace(t=1.0)
         with pytest.raises(ValueError, match="precedes"):
             integrate_with_particles(state, ParticleMap.lattice(4), 0.5, dt=0.025)
 
-    @pytest.mark.parametrize("cfl_limit", [0.5, None])
-    def test_nonfinite_field_is_numerics_failure(self, grid16, cfl_limit):
+    def test_nonfinite_field_is_numerics_failure(self, grid16):
         state = random_state(grid16, alpha=0.25, seed=7)
         bad = state.replace(q_hat=state.q_hat * np.nan)
-        pm = ParticleMap.lattice(4)
         with pytest.raises(NumericsFailure):
-            integrate_with_particles(bad, pm, 0.1, dt=0.025, cfl_limit=cfl_limit)
-        with pytest.raises(NumericsFailure):
-            advect_particles(pm, bad, 0.025, cfl_limit=cfl_limit)
+            integrate_with_particles(bad, ParticleMap.lattice(4), 0.1, dt=0.025)
+
+    @pytest.mark.parametrize("dt, t_final", [
+        (0.0, 0.1), (-0.01, 0.1), (np.nan, 0.1), (np.inf, 0.1), (0.025, np.nan), (0.025, np.inf),
+    ])
+    def test_rejects_bad_dt_and_t_final(self, grid16, dt, t_final):
+        # a dt <= 0 never reaches t_final, so the loop refuses it up front
+        state = random_state(grid16, alpha=0.25, seed=7)
+        with pytest.raises(ValueError, match="dt must be|t_final must be"):
+            integrate_with_particles(state, ParticleMap.lattice(4), t_final, dt=dt)
