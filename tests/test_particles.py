@@ -311,11 +311,31 @@ class TestCoupledIntegration:
         with pytest.raises(ValueError, match="precedes"):
             integrate_with_particles(state, ParticleMap.lattice(4), 0.5, dt=0.025)
 
-    def test_nonfinite_field_is_numerics_failure(self, grid16):
+    @pytest.mark.parametrize("nan_at", [0.5, None])
+    def test_nonfinite_field_is_numerics_failure(self, grid16, monkeypatch, nan_at):
+        # nan_at=None: the initial field is non-finite; nan_at=0.5: the field
+        # turns non-finite at the first half step t + dt/2. No marker may move.
+        dt = 0.025
+        moved = []
+
+        def poisoning_step(state, step_dt):
+            out = step_rk4(state, step_dt)
+            if nan_at is not None and np.isclose(out.t, nan_at * dt):
+                out = out.replace(q_hat=out.q_hat * np.nan)
+            return out
+
+        def recording_advect(*args):
+            moved.append(args)
+            return advect_particles(*args)
+
+        monkeypatch.setattr(particles, "step_rk4", poisoning_step)
+        monkeypatch.setattr(particles, "advect_particles", recording_advect)
         state = random_state(grid16, alpha=0.25, seed=7)
-        bad = state.replace(q_hat=state.q_hat * np.nan)
+        if nan_at is None:
+            state = state.replace(q_hat=state.q_hat * np.nan)
         with pytest.raises(NumericsFailure):
-            integrate_with_particles(bad, ParticleMap.lattice(4), 0.1, dt=0.025)
+            integrate_with_particles(state, ParticleMap.lattice(4), 0.1, dt=dt)
+        assert moved == []
 
     @pytest.mark.parametrize("dt, t_final", [
         (0.0, 0.1), (-0.01, 0.1), (np.nan, 0.1), (np.inf, 0.1), (0.025, np.nan), (0.025, np.inf),
