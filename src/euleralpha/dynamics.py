@@ -30,7 +30,8 @@ machine precision.
 
 Nonlinear products are formed pointwise in physical space from dealiased
 spectral factors, and the product is dealiased again (2/3 rule). The state
-keeps the full spectrum of q; the RHS and the CFL speed transform its half.
+keeps the full spectrum of q; the RHS and the CFL speed transform its half,
+and :func:`rhs_columns` works on the retained columns ky = 0..kmax alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .spectral import (
     TorusGrid,
     _ifft_real,
+    add_columns,
     ddx,
     ddy,
     dealias,
@@ -146,27 +148,49 @@ def max_speed(state: SimState) -> float:
     return float(np.hypot(ux, uy).max())
 
 
+def _rhs_and_velocity(state: SimState, q: np.ndarray):
+    """The block of :func:`rhs_columns` and the grid velocity (u_x, u_y) it transports with."""
+    grid = state.grid
+    n, w = grid.n, grid.kmax_dealias + 1
+    if q.shape != (n, w):
+        raise ValueError(f"expected the retained columns, shape {(n, w)}, got {q.shape}")
+    mask = grid.dealias_mask[:, :w]
+    q_masked = q * mask
+    qx, qy, ux, uy = np.fft.irfft2(_half_fields(state, q_masked), s=(n, n))
+    out = -(np.fft.rfft2(ux * qx + uy * qy)[:, :w] * mask)
+    if state.nu != 0.0:
+        out -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_masked
+    out[0, 0] = 0.0
+    return out, ux, uy
+
+
+def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
+    """
+    dq_hat/dt = -FFT(u . grad q) + nu * Lap(w_hat) on the retained columns.
+
+    ``q`` is the ``(n, kmax + 1)`` block of columns ky = 0..kmax of a
+    Hermitian spectrum (the grid, alpha and nu come from ``state``); the
+    result is the same block of dq_hat/dt, mean mode pinned to 0. One
+    batched irfft2 of the dealiased (dx q, dy q, u_x, u_y), passing only
+    these columns, and one rfft2 of their product, sliced to them.
+    """
+    return _rhs_and_velocity(state, q)[0]
+
+
+def rhs_columns_and_speed(state: SimState, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`rhs_columns` and the max pointwise |u| of the velocity it transports with."""
+    out, ux, uy = _rhs_and_velocity(state, q)
+    return out, float(np.hypot(ux, uy).max())
+
+
 def rhs_vorticity(state: SimState) -> np.ndarray:
     """
-    dq_hat/dt = -FFT(u . grad q) + nu * Lap(w_hat), mean mode pinned to 0.
-
-    For Hermitian q_hat: one batched irfft2 of the dealiased (dx q, dy q, u_x,
-    u_y), passing only their nonzero columns ky < n/3, and one rfft2 of their
-    product; columns ky > n/2 are the conjugates of the reflected half.
+    dq_hat/dt on the full spectrum, for Hermitian q_hat: :func:`rhs_columns`
+    of its retained columns, with the conjugate reflection filling ky < 0.
     """
     grid = state.grid
-    n, m, w = grid.n, grid.n // 2 + 1, grid.kmax_dealias + 1
-    mask = grid.dealias_mask[:, :m]
-    q_half = state.q_hat[:, :w] * mask[:, :w]
-    qx, qy, ux, uy = np.fft.irfft2(_half_fields(state, q_half), s=(n, n))
-    half = -(np.fft.rfft2(ux * qx + uy * qy) * mask)
-    if state.nu != 0.0:
-        half[:, :w] -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_half
-    half[0, 0] = 0.0
-    out = np.empty((n, n), dtype=complex)
-    out[:, :m] = half
-    np.conjugate(half[-np.arange(n) % n, m - 2 : 0 : -1], out=out[:, m:])
-    return out
+    block = rhs_columns(state, state.q_hat[:, : grid.kmax_dealias + 1])
+    return add_columns(np.zeros((grid.n, grid.n), dtype=complex), block)
 
 
 def leray_project_hats(

@@ -205,24 +205,41 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     the modes 1 <= |k|_inf <= ic_band, Hermitian-symmetrizes, zeroes the
     mean, and rescales so the H^1_alpha energy (measured with cfg.alpha)
     equals ic_energy exactly.
+
+    The coefficients, and the energy's unnormalized sum in
+    :func:`energy_hats` (n^4 times the energy, up to a constant), must be
+    finite floats; an amplitude or energy beyond that is a ConfigError.
     """
     n = grid.n
-    if cfg.ic == "single_mode":
-        k = (cfg.ic_kx, cfg.ic_ky)
-        if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
-            raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
-        omega = cfg.ic_amplitude * np.cos(k[0] * grid.X + k[1] * grid.Y)
-        return forward_transform(omega)
-    if cfg.ic == "taylor_green":
-        omega = cfg.ic_amplitude * 2.0 * np.cos(grid.X) * np.cos(grid.Y)
-        return forward_transform(omega)
+    if cfg.ic in ("single_mode", "taylor_green"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.ic == "single_mode":
+                k = (cfg.ic_kx, cfg.ic_ky)
+                if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
+                    raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
+                omega = cfg.ic_amplitude * np.cos(k[0] * grid.X + k[1] * grid.Y)
+            else:
+                omega = cfg.ic_amplitude * 2.0 * np.cos(grid.X) * np.cos(grid.Y)
+            omega_hat = forward_transform(omega)
+            # energy_hats' sum overflows exactly when the energy it returns does
+            finite = np.all(np.isfinite(omega_hat)) and np.isfinite(
+                _omega_energy(grid, omega_hat, cfg.alpha))
+        if not finite:
+            raise ConfigError(f"ic_amplitude={cfg.ic_amplitude} is too large for n={n}: "
+                              "the initial energy overflows")
+        return omega_hat
     # random_bandlimited
     K = cfg.ic_band
     if K > grid.kmax_dealias:
         raise ConfigError(f"ic_band={K} outside the dealiased band of n={n}")
     omega_hat = _random_band_hat(grid, K, cfg.seed)
     current = _omega_energy(grid, omega_hat, cfg.alpha)
-    omega_hat *= np.sqrt(cfg.ic_energy / current)
+    scale = np.sqrt(cfg.ic_energy / current)
+    # energy_hats sums ic_energy * n^4 / (2 pi^2) before it normalizes
+    if not (np.isfinite(scale) and math.isfinite(cfg.ic_energy * n**4 / (2.0 * np.pi**2))):
+        raise ConfigError(f"ic_energy={cfg.ic_energy} is too large for n={n}: "
+                          "the initial energy overflows")
+    omega_hat *= scale
     return omega_hat
 
 
@@ -268,14 +285,13 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
     cfg.validate()
     if cfg.out is None:
         raise ConfigError("run requires an output directory (out)")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-
     grid = TorusGrid(cfg.n)
     if omega_hat is None:
         omega_hat = make_omega0(cfg, grid)
     state = state_from_omega(grid, omega_hat, cfg.alpha, nu=cfg.nu)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     log = DiagnosticsLog()
     try:

@@ -16,10 +16,16 @@ a contraction for every nonzero mode. The splitting order within a
 Lie-Trotter step is fixed as diffusion first (both orders are first-order
 accurate; one had to be picked).
 
+The RK4 stages work on the retained columns ky = 0..kmax of q_hat, where
+every dealiased field lives (see :func:`dynamics.rhs_columns`); the
+increment enters the full spectrum together with its conjugate reflection.
+
 Every step re-pins the mean of q to zero and advances t; a step whose CFL
 number max|u| dt / h exceeds :data:`CFL_LIMIT` is rejected by raising
-:class:`CflViolation`. The one time loop, :func:`_march`, rejects a dt
-that is not positive and finite and a t_final that is not finite.
+:class:`CflViolation`. ``rk4`` takes max|u| from the velocity its first
+stage transports with; the splitting steppers measure the state before
+diffusion. The one time loop, :func:`_march`, rejects a dt that is not
+positive and finite and a t_final that is not finite.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import SimState, max_speed, rhs_vorticity
+from .dynamics import SimState, max_speed, rhs_columns, rhs_columns_and_speed
+from .spectral import add_columns
 
 SCHEMES = ("rk4", "lie_trotter", "strang")
 
@@ -43,7 +50,7 @@ class CflViolation(RuntimeError):
     """Step rejected: advective CFL number beyond :data:`CFL_LIMIT`."""
 
     def __init__(self, cfl: float, limit: float, t: float):
-        super().__init__(f"CFL number {cfl:.3f} exceeds limit {limit:.3f} at t={t:.6g}")
+        super().__init__(f"CFL number {cfl:.4g} exceeds limit {limit:.4g} at t={t:.6g}")
         self.cfl = cfl
         self.limit = limit
         self.t = t
@@ -62,27 +69,42 @@ def cfl_number(state: SimState, dt: float) -> float:
     return max_speed(state) * dt / state.grid.h
 
 
-def _check_cfl(state: SimState, dt: float) -> None:
-    cfl = cfl_number(state, dt)
+def _check_cfl(state: SimState, dt: float, speed: float) -> None:
+    cfl = speed * dt / state.grid.h
     if cfl > CFL_LIMIT:
         raise CflViolation(cfl, CFL_LIMIT, state.t)
 
 
-def _rk4_update(state: SimState, dt: float) -> np.ndarray:
-    """q_hat after one classical RK4 step of dq/dt = rhs_vorticity, with the mean pinned to 0."""
-    k1 = rhs_vorticity(state)
-    k2 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k1, t=state.t + 0.5 * dt))
-    k3 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k2, t=state.t + 0.5 * dt))
-    k4 = rhs_vorticity(state.replace(q_hat=state.q_hat + dt * k3, t=state.t + dt))
-    q_new = state.q_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _retained(state: SimState) -> np.ndarray:
+    """The columns ky = 0..kmax of q_hat, outside which every dealiased field vanishes."""
+    return state.q_hat[:, : state.grid.kmax_dealias + 1]
+
+
+def _rk4_update(state: SimState, dt: float, k1: np.ndarray) -> np.ndarray:
+    """
+    q_hat after one classical RK4 step of dq/dt = rhs_vorticity, given the
+    first stage k1 on the retained columns, with the mean pinned to 0.
+    """
+    q = _retained(state)
+    k2 = rhs_columns(state, q + 0.5 * dt * k1)
+    k3 = rhs_columns(state, q + 0.5 * dt * k2)
+    k4 = rhs_columns(state, q + dt * k3)
+    q_new = add_columns(state.q_hat, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     q_new[0, 0] = 0.0
     return q_new
 
 
 def step_rk4(state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the full vorticity equation."""
-    _check_cfl(state, dt)
-    return state.replace(q_hat=_rk4_update(state, dt), t=state.t + dt)
+    k1, speed = rhs_columns_and_speed(state, _retained(state))
+    _check_cfl(state, dt, speed)
+    return state.replace(q_hat=_rk4_update(state, dt, k1), t=state.t + dt)
+
+
+def _transport(state: SimState, q_hat: np.ndarray, dt: float) -> np.ndarray:
+    """``q_hat`` after one inviscid RK4 transport step over dt."""
+    inviscid = state.replace(q_hat=q_hat, nu=0.0)
+    return _rk4_update(inviscid, dt, rhs_columns(inviscid, _retained(inviscid)))
 
 
 def diffusion_semigroup(state: SimState, dt: float) -> SimState:
@@ -102,17 +124,15 @@ def diffusion_semigroup(state: SimState, dt: float) -> SimState:
 
 def step_lie_trotter(state: SimState, dt: float) -> SimState:
     """Diffusion semigroup over dt, then one inviscid transport step over dt."""
-    _check_cfl(state, dt)
-    diffused = diffusion_semigroup(state, dt).q_hat
-    q_new = _rk4_update(state.replace(q_hat=diffused, nu=0.0), dt)
+    _check_cfl(state, dt, max_speed(state))
+    q_new = _transport(state, diffusion_semigroup(state, dt).q_hat, dt)
     return state.replace(q_hat=q_new, t=state.t + dt)
 
 
 def step_strang(state: SimState, dt: float) -> SimState:
     """Half-step diffusion, inviscid transport over dt, half-step diffusion."""
-    _check_cfl(state, dt)
-    half = diffusion_semigroup(state, 0.5 * dt).q_hat
-    mid = _rk4_update(state.replace(q_hat=half, nu=0.0), dt)
+    _check_cfl(state, dt, max_speed(state))
+    mid = _transport(state, diffusion_semigroup(state, 0.5 * dt).q_hat, dt)
     out = diffusion_semigroup(state.replace(q_hat=mid), 0.5 * dt)
     return out.replace(t=state.t + dt)
 

@@ -12,7 +12,9 @@ are integers. Scalar fields are represented two ways:
 * physical: real ``(n, n)`` arrays indexed ``[ix, iy]`` (x is axis 0),
 * spectral: complex ``(n, n)`` arrays of unnormalized forward-FFT
   coefficients in numpy's standard frequency ordering. States keep all of
-  them; the RHS transforms only the half ky = 0..n/2 (``rfft2`` layout).
+  them; the RHS transforms only the half ky = 0..n/2 (``rfft2`` layout)
+  and returns only the retained columns ky = 0..kmax_dealias, which
+  :func:`add_columns` adds back to a full spectrum.
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -134,6 +136,20 @@ def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:
         np.divide(k2, smooth, out=factors[1])
         grid._rhs_factors[0] = alpha
     return factors
+
+
+def add_columns(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """
+    ``coeffs`` plus the real field's spectrum whose columns ky = 0..w-1 are
+    ``block`` (shape ``(n, w)``, w <= n/2): the block is added to those
+    columns and its conjugate reflection conj(block[-kx, ky]) to the columns
+    -ky; every other column of ``coeffs`` is kept. Returns a new array.
+    """
+    n, w = block.shape
+    out = coeffs.copy()
+    out[:, :w] += block
+    out[:, n - w + 1 :] += np.conjugate(block[-np.arange(n) % n, w - 1 : 0 : -1])
+    return out
 
 
 def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from euleralpha.dynamics import SimState, omega_from_q, state_from_omega, velocity_hats_from_q
+from euleralpha.dynamics import (
+    SimState,
+    omega_from_q,
+    rhs_vorticity,
+    state_from_omega,
+    velocity_hats_from_q,
+)
+from euleralpha.integrators import diffusion_semigroup
 from euleralpha.particles import ParticleMap, jacobian_determinant
 from euleralpha.spectral import TorusGrid, _ifft_real, ddx, ddy, dealias, forward_transform
 
@@ -62,6 +69,32 @@ def direct_max_speed(state: SimState) -> float:
     """Oracle for ``dynamics.max_speed``: two full-spectrum inverse transforms."""
     ux_hat, uy_hat = velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
     return float(np.hypot(_ifft_real(ux_hat), _ifft_real(uy_hat)).max())
+
+
+def direct_rk4_update(state: SimState, dt: float) -> np.ndarray:
+    """
+    Oracle for the steppers' RK4 update: the full-spectrum stage body, four
+    ``rhs_vorticity`` calls on whole (n, n) stage states.
+    """
+    k1 = rhs_vorticity(state)
+    k2 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k1, t=state.t + 0.5 * dt))
+    k3 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k2, t=state.t + 0.5 * dt))
+    k4 = rhs_vorticity(state.replace(q_hat=state.q_hat + dt * k3, t=state.t + dt))
+    q_new = state.q_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q_new[0, 0] = 0.0
+    return q_new
+
+
+def direct_step(scheme: str, state: SimState, dt: float) -> np.ndarray:
+    """q_hat after one ``scheme`` step built on :func:`direct_rk4_update` (no CFL check)."""
+    if scheme == "rk4":
+        return direct_rk4_update(state, dt)
+    first = dt if scheme == "lie_trotter" else 0.5 * dt
+    diffused = diffusion_semigroup(state, first).q_hat
+    q_new = direct_rk4_update(state.replace(q_hat=diffused, nu=0.0), dt)
+    if scheme == "lie_trotter":
+        return q_new
+    return diffusion_semigroup(state.replace(q_hat=q_new), 0.5 * dt).q_hat
 
 
 def random_spectrum(grid: TorusGrid, band: int, seed: int) -> np.ndarray:

@@ -5,6 +5,7 @@ system).
 """
 
 import os
+import warnings
 
 import pytest
 
@@ -94,6 +95,32 @@ class TestRunCommand:
         code = main(run_args(tmp_path, ic_amplitude="100", dt="0.1", t_final="1.0"))
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--ic-energy", "1e308"],
+        ["--ic", "taylor_green", "--ic-amplitude", "1e153"],
+        ["--ic", "taylor_green", "--ic-amplitude", "1e300"],
+    ], ids=["energy", "amplitude_1e153", "amplitude_1e300"])
+    def test_unrepresentable_initial_condition_is_config_error(self, flags, tmp_path,
+                                                               monkeypatch, capsys):
+        # finite inputs whose H^1_alpha energy sum (n^4 times the energy) overflows
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--n", "16", "--t-final", "0.01", "--out", "o", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ic_") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not caught
+        assert not list(tmp_path.iterdir())
+
+    def test_huge_cfl_number_is_one_short_line(self, tmp_path, capsys):
+        code = main(["run", "--n", "8", "--ic", "taylor_green", "--ic-amplitude", "1e150",
+                     "--t-final", "0.01", "--out", str(tmp_path / "o")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 100
+        assert lines[0].startswith("numerical failure: CFL number 1.273e+147 exceeds limit 0.5")
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

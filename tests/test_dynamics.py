@@ -22,6 +22,7 @@ from euleralpha.dynamics import (
     leray_project_hats,
     max_speed,
     omega_from_q,
+    rhs_columns,
     rhs_vorticity,
     state_from_omega,
     velocity_hats_from_q,
@@ -178,9 +179,19 @@ class TestHalfSpectrumRhs:
     @staticmethod
     def assert_matches_oracle(state):
         expected = direct_rhs(state)
-        assert np.abs(rhs_vorticity(state) - expected).max() <= 1e-13 * np.abs(expected).max()
+        rhs = rhs_vorticity(state)
+        assert np.abs(rhs - expected).max() <= 1e-13 * np.abs(expected).max()
+        w = state.grid.kmax_dealias + 1
+        assert np.array_equal(rhs_columns(state, state.q_hat[:, :w]), rhs[:, :w])
         speed = direct_max_speed(state)
         assert abs(max_speed(state) - speed) <= 1e-13 * speed
+
+    def test_rhs_columns_takes_only_the_retained_columns(self):
+        grid = TorusGrid(16)
+        state = random_state(grid, alpha=0.3)
+        for width in (grid.kmax_dealias, grid.n // 2 + 1):
+            with pytest.raises(ValueError, match="retained columns"):
+                rhs_columns(state, state.q_hat[:, :width])
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])

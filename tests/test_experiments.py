@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from euleralpha import experiments
 from euleralpha.checks import snapshot_roundtrip_error
 from euleralpha.dynamics import compute_diagnostics
 from euleralpha.experiments import (
@@ -150,6 +151,33 @@ class TestInitialConditions:
         cfg = RunConfig(n=16, ic="random_bandlimited", ic_band=6)
         with pytest.raises(ConfigError, match="dealiased band"):
             make_omega0(cfg, TorusGrid(16))
+
+    @pytest.mark.filterwarnings("error")
+    def test_energy_sum_overflow_rejected_from_scalars(self, monkeypatch):
+        # energy_hats sums ic_energy * n^4 / (2 pi^2) before normalizing: at
+        # n = 16 that overflows between ic_energy 1e303 and 1e304. The random
+        # path decides from scalars, with the one energy evaluation it makes.
+        calls = []
+        energy = experiments._omega_energy
+        monkeypatch.setattr(experiments, "_omega_energy",
+                            lambda *args: calls.append(args) or energy(*args))
+        grid = TorusGrid(16)
+        omega_hat = make_omega0(RunConfig(n=16, ic_energy=1e303), grid)
+        assert len(calls) == 1
+        assert np.isfinite(energy(grid, omega_hat, 0.25))
+        with pytest.raises(ConfigError, match=r"ic_energy=1e\+304 is too large for n=16"):
+            make_omega0(RunConfig(n=16, ic_energy=1e304), grid)
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ic", ["taylor_green", "single_mode"])
+    def test_amplitude_overflow_rejected(self, ic):
+        grid = TorusGrid(16)
+        cfg = RunConfig(n=16, ic=ic, ic_amplitude=1e151)
+        assert np.isfinite(experiments._omega_energy(grid, make_omega0(cfg, grid), 0.25))
+        for amplitude in (1e152, 1e300, -1e308):
+            with pytest.raises(ConfigError, match="ic_amplitude=.* is too large for n=16"):
+                make_omega0(cfg.replace(ic_amplitude=amplitude), grid)
 
 
 class TestRun:

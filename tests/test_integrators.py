@@ -6,8 +6,9 @@ convergence orders, CFL rejection, and the integrate driver.
 import numpy as np
 import pytest
 
+from euleralpha import integrators
 from euleralpha.checks import conservation_drifts, semigroup_error, single_mode_decay_error
-from euleralpha.dynamics import omega_from_q, state_from_omega
+from euleralpha.dynamics import SimState, max_speed, omega_from_q, state_from_omega
 from euleralpha.integrators import (
     CFL_LIMIT,
     CflViolation,
@@ -21,9 +22,9 @@ from euleralpha.integrators import (
     step_lie_trotter,
     step_rk4,
 )
-from euleralpha.spectral import forward_transform, l2_norm
+from euleralpha.spectral import TorusGrid, dealias, forward_transform, l2_norm
 
-from conftest import random_state
+from conftest import direct_rk4_update, direct_step, random_spectrum, random_state
 
 
 def single_shell(grid, alpha, nu=0.0):
@@ -95,11 +96,70 @@ class TestStepRk4:
         assert err.value.limit == CFL_LIMIT
         assert cfl_number(state, dt) == pytest.approx(0.75, rel=1e-12)
 
+    def test_cfl_rejection_comes_before_the_second_stage(self, grid32, monkeypatch):
+        def later_stage(*args):
+            raise AssertionError("a stage after the first ran before the CFL check")
+
+        monkeypatch.setattr(integrators, "rhs_columns", later_stage)
+        with pytest.raises(CflViolation):
+            step_rk4(single_shell(grid32, alpha=0.0), 1.5 * grid32.h)
+
     def test_mean_mode_stays_zero(self, grid32):
         state = random_state(grid32, alpha=0.25, nu=0.01, seed=2)
         for stepper in STEPPERS.values():
             out = stepper(state, 1e-2)
             assert out.q_hat[0, 0] == 0.0
+
+
+def stepping_states(n, alpha, nu):
+    """A random band-limited state and the Taylor-Green state, whose fft2 is not Hermitian bit for bit."""
+    grid = TorusGrid(n)
+    taylor_green = forward_transform(2.0 * np.cos(grid.X) * np.cos(grid.Y))
+    return (random_state(grid, alpha, nu=nu, kmax=min(4, grid.kmax_dealias), seed=n),
+            state_from_omega(grid, taylor_green, alpha, nu=nu))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("nu", [0.0, 0.05])
+class TestRetainedColumnSteps:
+    """The steppers' stages on the retained columns against the full-spectrum oracle."""
+
+    def test_steps_equal_full_spectrum_oracle(self, n, alpha, nu):
+        for state in stepping_states(n, alpha, nu):
+            dt = 0.2 * state.grid.h / max_speed(state)
+            for scheme, step in STEPPERS.items():
+                # the second step starts from a state the update assembled
+                expected = state
+                for _ in range(2):
+                    expected = expected.replace(q_hat=direct_step(scheme, expected, dt))
+                assert np.array_equal(step(step(state, dt), dt).q_hat, expected.q_hat), scheme
+
+    def test_cfl_violation_carries_cfl_number(self, n, alpha, nu):
+        for state in stepping_states(n, alpha, nu):
+            dt = 0.6 * state.grid.h / max_speed(state)
+            for scheme, step in STEPPERS.items():
+                with pytest.raises(CflViolation) as err:
+                    step(state, dt)
+                assert err.value.cfl == cfl_number(state, dt), scheme
+
+
+def test_rk4_cfl_reads_the_velocity_it_steps_with():
+    # A user-built state with energy outside the dealias mask: rk4 checks
+    # the dealiased velocity its first stage transports with, the splitting
+    # steppers the state's own velocity before diffusion.
+    grid = TorusGrid(16)
+    state = SimState(grid, random_spectrum(grid, 8, seed=0), 0.3)
+    dealiased = state.replace(q_hat=dealias(grid, state.q_hat))
+    dt = 1.0 / (cfl_number(state, 1.0) + cfl_number(dealiased, 1.0))
+    assert cfl_number(dealiased, dt) < CFL_LIMIT < cfl_number(state, dt)
+    assert np.array_equal(step_rk4(state, dt).q_hat, direct_rk4_update(state, dt))
+    with pytest.raises(CflViolation) as err:
+        step_lie_trotter(state, dt)
+    assert err.value.cfl == cfl_number(state, dt)
+    with pytest.raises(CflViolation) as err:
+        step_rk4(state, 2.0 * dt)
+    assert err.value.cfl == cfl_number(dealiased, 2.0 * dt) != cfl_number(state, 2.0 * dt)
 
 
 class TestDiffusionSemigroup:
