@@ -112,7 +112,10 @@ class TestStepRk4:
 
 
 def stepping_states(n, alpha, nu):
-    """A random band-limited state and the Taylor-Green state, whose fft2 is not Hermitian bit for bit."""
+    """
+    A random band-limited state and the Taylor-Green state, whose fft2 need
+    not be Hermitian bit for bit.
+    """
     grid = TorusGrid(n)
     taylor_green = forward_transform(2.0 * np.cos(grid.X) * np.cos(grid.Y))
     return (random_state(grid, alpha, nu=nu, kmax=min(4, grid.kmax_dealias), seed=n),

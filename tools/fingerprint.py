@@ -96,7 +96,8 @@ def fingerprint(src_root: Path) -> tuple[str, int]:
         flow = experiments.RunConfig(n=64, alpha=0.25, nu=0.0, ic="random_bandlimited",
                                      ic_band=4, ic_energy=1.0, seed=2025)
         state, pm = particles.integrate_with_particles(
-            experiments.make_initial_condition(flow), particles.ParticleMap.lattice(16), 1.0, dt=1e-2)
+            experiments.make_initial_condition(flow), particles.ParticleMap.lattice(16),
+            1.0, dt=1e-2)
         feed("markers", _array_bytes(pm.positions) + _array_bytes(state.q_hat))
 
         files = sorted(p for p in root.rglob("*") if p.is_file())
