@@ -50,13 +50,14 @@ class ConfigError(ValueError):
 
 
 def _check_alpha(alpha: float, n: int) -> None:
-    """ConfigError unless alpha^2 n^2, which bounds alpha^2 |k|^2 on an n-grid, is a finite float."""
+    """ConfigError unless rhs_factors' largest, (1 + alpha^2 k^2) k^2 at k^2 = n^2/2, is finite."""
     try:
-        finite = math.isfinite(alpha**2 * n**2)
+        k2 = n**2 / 2
+        finite = math.isfinite((1.0 + alpha**2 * k2) * k2)
     except OverflowError:
         finite = False
     if not finite:
-        raise ConfigError(f"alpha={alpha} is too large for n={n}: alpha^2 n^2 overflows")
+        raise ConfigError(f"alpha={alpha} is too large for n={n}: alpha^2 n^4 / 4 overflows")
 
 
 @dataclass(frozen=True)
@@ -206,40 +207,22 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     mean, and rescales so the H^1_alpha energy (measured with cfg.alpha)
     equals ic_energy exactly.
 
-    The coefficients, and the energy's unnormalized sum in
-    :func:`energy_hats` (n^4 times the energy, up to a constant), must be
-    finite floats; an amplitude or energy beyond that is a ConfigError.
+    Too large an amplitude or energy gives non-finite coefficients, with no
+    warning; :func:`_initial_state` rejects them at the run's alpha.
     """
-    n = grid.n
-    if cfg.ic in ("single_mode", "taylor_green"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.ic == "single_mode":
-                k = (cfg.ic_kx, cfg.ic_ky)
-                if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
-                    raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
-                omega = cfg.ic_amplitude * np.cos(k[0] * grid.X + k[1] * grid.Y)
-            else:
-                omega = cfg.ic_amplitude * 2.0 * np.cos(grid.X) * np.cos(grid.Y)
-            omega_hat = forward_transform(omega)
-            # energy_hats' sum overflows exactly when the energy it returns does
-            finite = np.all(np.isfinite(omega_hat)) and np.isfinite(
-                _omega_energy(grid, omega_hat, cfg.alpha))
-        if not finite:
-            raise ConfigError(f"ic_amplitude={cfg.ic_amplitude} is too large for n={n}: "
-                              "the initial energy overflows")
-        return omega_hat
-    # random_bandlimited
-    K = cfg.ic_band
-    if K > grid.kmax_dealias:
-        raise ConfigError(f"ic_band={K} outside the dealiased band of n={n}")
-    omega_hat = _random_band_hat(grid, K, cfg.seed)
-    current = _omega_energy(grid, omega_hat, cfg.alpha)
-    scale = np.sqrt(cfg.ic_energy / current)
-    # energy_hats sums ic_energy * n^4 / (2 pi^2) before it normalizes
-    if not (np.isfinite(scale) and math.isfinite(cfg.ic_energy * n**4 / (2.0 * np.pi**2))):
-        raise ConfigError(f"ic_energy={cfg.ic_energy} is too large for n={n}: "
-                          "the initial energy overflows")
-    omega_hat *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.ic == "single_mode":
+            k = (cfg.ic_kx, cfg.ic_ky)
+            if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
+                raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
+            return forward_transform(cfg.ic_amplitude * np.cos(k[0] * grid.X + k[1] * grid.Y))
+        if cfg.ic == "taylor_green":
+            return forward_transform(cfg.ic_amplitude * 2.0 * np.cos(grid.X) * np.cos(grid.Y))
+        K = cfg.ic_band
+        if K > grid.kmax_dealias:
+            raise ConfigError(f"ic_band={K} outside the dealiased band of n={grid.n}")
+        omega_hat = _random_band_hat(grid, K, cfg.seed)
+        omega_hat *= np.sqrt(cfg.ic_energy / _omega_energy(grid, omega_hat, cfg.alpha))
     return omega_hat
 
 
@@ -264,9 +247,23 @@ def _omega_energy(grid: TorusGrid, omega_hat: np.ndarray, alpha: float) -> float
 
 
 def make_initial_condition(cfg: RunConfig, grid: Optional[TorusGrid] = None) -> SimState:
-    """Initial SimState: q_hat = (1 - alpha^2 Lap) omega0_hat, dealiased."""
+    """Initial SimState of :func:`make_omega0`'s vorticity, checked by :func:`_initial_state`."""
     grid = grid or TorusGrid(cfg.n)
-    return state_from_omega(grid, make_omega0(cfg, grid), cfg.alpha, nu=cfg.nu)
+    return _initial_state(cfg, grid, make_omega0(cfg, grid))
+
+
+def _initial_state(cfg: RunConfig, grid: TorusGrid, omega_hat: np.ndarray) -> SimState:
+    """
+    q_hat = (1 - alpha^2 Lap) omega_hat, dealiased, at cfg's alpha and nu; ConfigError
+    unless sum |q_hat|^2, the largest sum the t = 0 diagnostics form, is finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = state_from_omega(grid, omega_hat, cfg.alpha, nu=cfg.nu)
+    if not math.isfinite(np.vdot(state.q_hat, state.q_hat).real):
+        name = "ic_energy" if cfg.ic == "random_bandlimited" else "ic_amplitude"
+        raise ConfigError(f"{name}={getattr(cfg, name)} is too large for n={grid.n}: "
+                          "the initial state overflows")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +273,9 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
     """
     Integrate the configured problem, writing diagnostics CSV, snapshots,
     and a run manifest into ``cfg.out``. Returns the final state.
+
+    It starts from ``omega_hat``, else from :func:`make_omega0`, through
+    :func:`_initial_state`, whose ConfigError comes before ``cfg.out`` exists.
 
     A run stopped by :class:`CflViolation`, :class:`NumericsFailure` or
     ``FloatingPointError`` still writes the rows logged so far, and a
@@ -287,9 +287,7 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
         raise ConfigError("run requires an output directory (out)")
     started = time.perf_counter()
     grid = TorusGrid(cfg.n)
-    if omega_hat is None:
-        omega_hat = make_omega0(cfg, grid)
-    state = state_from_omega(grid, omega_hat, cfg.alpha, nu=cfg.nu)
+    state = _initial_state(cfg, grid, make_omega0(cfg, grid) if omega_hat is None else omega_hat)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -299,7 +297,7 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
             # the terminal state is always recorded, even off-cadence
             last = state.t == cfg.t_final
             if step % cfg.diag_every == 0 or last:
-                log.append(compute_diagnostics(state, cfg.dt))
+                log.rows.append(compute_diagnostics(state, cfg.dt))
             if step % cfg.save_every == 0 or last:
                 _save_snapshot(out_dir, step, state)
     except (CflViolation, NumericsFailure, FloatingPointError) as exc:
@@ -361,7 +359,7 @@ def _terminal_q(cfg: RunConfig, omega_bytes: bytes) -> np.ndarray:
     omega_hat = np.frombuffer(omega_bytes, dtype=np.complex128).reshape(cfg.n, cfg.n)
     if cfg.out is not None:
         return run(cfg, omega_hat=omega_hat).q_hat
-    state = state_from_omega(TorusGrid(cfg.n), omega_hat, cfg.alpha, nu=cfg.nu)
+    state = _initial_state(cfg, TorusGrid(cfg.n), omega_hat)
     return integrate(state, cfg.t_final, cfg.dt, cfg.scheme).q_hat
 
 
@@ -372,7 +370,8 @@ def _map_members(configs, omega_bytes: bytes, labels, workers: int):
         for label, call in zip(labels, calls):
             try:
                 out.append(call())
-            except (CflViolation, NumericsFailure, FloatingPointError, BrokenProcessPool) as exc:
+            except (ConfigError, CflViolation, NumericsFailure, FloatingPointError,
+                    BrokenProcessPool) as exc:
                 exc.args = (f"sweep member {label} failed: {exc}",)
                 raise
         return out
@@ -388,9 +387,7 @@ def _map_members(configs, omega_bytes: bytes, labels, workers: int):
 def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> float:
     uxa, uya = velocity_hats_from_q(grid, qa, alpha_a)
     uxb, uyb = velocity_hats_from_q(grid, qb, alpha_b)
-    w = 1.0 + weight_alpha**2 * grid.K2
-    total = np.sum(w * (np.abs(uxa - uxb) ** 2 + np.abs(uya - uyb) ** 2))
-    return float(np.sqrt(total * (2.0 * np.pi) ** 2)) / grid.n**2
+    return math.sqrt(2.0 * energy_hats(grid, uxa - uxb, uya - uyb, weight_alpha))
 
 
 def _finite_list(name: str, values: Sequence[float]) -> tuple:

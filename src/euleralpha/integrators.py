@@ -55,6 +55,9 @@ class CflViolation(RuntimeError):
         self.limit = limit
         self.t = t
 
+    def __reduce__(self):  # a sweep member's exception is pickled back from its worker
+        return type(self), (self.cfl, self.limit, self.t)
+
 
 class NumericsFailure(RuntimeError):
     """Integration produced non-finite values."""
@@ -62,6 +65,9 @@ class NumericsFailure(RuntimeError):
     def __init__(self, t: float):
         super().__init__(f"non-finite state at t={t:.6g}")
         self.t = t
+
+    def __reduce__(self):
+        return type(self), (self.t,)
 
 
 def cfl_number(state: SimState, dt: float) -> float:
@@ -179,11 +185,8 @@ def _march(state: SimState, t_final: float, dt: float, step: Callable):
 
 def advance(state: SimState, t_final: float, dt: float, scheme: str = "rk4"):
     """
-    Generate ``(step_index, state)`` pairs from ``state.t`` to ``t_final``
-    with the ``scheme`` stepper (one of :data:`SCHEMES`).
-
-    The final partial step is shortened so the last state lands exactly on
-    t_final. Non-finite states abort with :class:`NumericsFailure`.
+    Generate ``(step_index, state)`` pairs from ``state.t`` to ``t_final`` with
+    the ``scheme`` stepper, one of :data:`SCHEMES`, through :func:`_march`.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

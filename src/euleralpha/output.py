@@ -84,9 +84,6 @@ class DiagnosticsLog:
     def __init__(self) -> None:
         self.rows: list[Diagnostics] = []
 
-    def append(self, diag: Diagnostics) -> None:
-        self.rows.append(diag)
-
     @staticmethod
     def _drift(value: float, base: float) -> float:
         if base == 0.0:

@@ -27,6 +27,20 @@ def run_args(tmp_path, **kw):
     return flat
 
 
+def lone_config_error(argv, tmp_path, monkeypatch, capsys) -> str:
+    """Run ``main(argv)`` in an empty ``tmp_path``: exit 1 with one line, no warning, no file."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not caught
+    assert not list(tmp_path.iterdir())
+    return err
+
+
 def _worker_dies(cfg, omega_bytes):
     """Stands in for a sweep member whose worker process is killed."""
     os._exit(1)
@@ -100,19 +114,16 @@ class TestRunCommand:
         ["--ic-energy", "1e308"],
         ["--ic", "taylor_green", "--ic-amplitude", "1e153"],
         ["--ic", "taylor_green", "--ic-amplitude", "1e300"],
-    ], ids=["energy", "amplitude_1e153", "amplitude_1e300"])
+        ["--alpha", "1", "--ic-energy", "2e303"],
+    ], ids=["energy", "amplitude_1e153", "amplitude_1e300", "casimir_sum"])
     def test_unrepresentable_initial_condition_is_config_error(self, flags, tmp_path,
                                                                monkeypatch, capsys):
-        # finite inputs whose H^1_alpha energy sum (n^4 times the energy) overflows
-        monkeypatch.chdir(tmp_path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["run", "--n", "16", "--t-final", "0.01", "--out", "o", *flags])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ic_") and len(err.splitlines()) == 1
-        assert "Traceback" not in err and not caught
-        assert not list(tmp_path.iterdir())
+        # finite inputs whose sum |q0|^2 overflows; at alpha = 1 the energy
+        # sum of 2e303 is still finite
+        err = lone_config_error(
+            ["run", "--n", "16", "--t-final", "0.01", "--out", "o", *flags],
+            tmp_path, monkeypatch, capsys)
+        assert err.startswith("configuration error: ic_")
 
     def test_huge_cfl_number_is_one_short_line(self, tmp_path, capsys):
         code = main(["run", "--n", "8", "--ic", "taylor_green", "--ic-amplitude", "1e150",
@@ -180,6 +191,19 @@ class TestSweepCommands:
         assert err.startswith("configuration error: alpha=1e+155") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_alpha_overflowing_rhs_factor_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # alpha^2 n^2 is finite, (1 + alpha^2 k^2) k^2 at k^2 = n^2 / 2 is not
+        err = lone_config_error(["run", "--n", "32", "--alpha", "4e152", "--t-final", "0.01",
+                                 "--out", "o"], tmp_path, monkeypatch, capsys)
+        assert err.startswith("configuration error: alpha=4e+152 is too large for n=32")
+
+    def test_member_initial_state_overflow_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # omega0 is checked at alpha = 0.01, each member's q0 at its own alpha
+        err = lone_config_error(["sweep-alpha", "--n", "16", "--alpha", "0.01", "--ic-energy",
+                                 "1e300", "--t-final", "0.01", "--dt", "1e-3", "--alpha-list",
+                                 "10,5", "--out", "o"], tmp_path, monkeypatch, capsys)
+        assert err.startswith("configuration error: sweep member alpha=10 failed: ic_energy=")
 
     def test_dead_worker_is_one_line_exit_3(self, monkeypatch, capsys):
         # the pool forks after the patch, so both workers run _worker_dies

@@ -87,7 +87,7 @@ class TestConfigParsing:
             RunConfig(out=out).validate()
 
     def test_overflowing_alpha_rejected(self):
-        # alpha^2 = 1e308 is finite, but alpha^2 n^2 at n = 64 is not;
+        # alpha^2 = 1e308 is finite, but alpha^2 n^4 / 4 at n = 64 is not;
         # at alpha = 1e150 both are
         with pytest.raises(ConfigError, match="alpha=1e\\+154 is too large for n=64"):
             RunConfig(alpha=1e154).validate()
@@ -153,31 +153,38 @@ class TestInitialConditions:
             make_omega0(cfg, TorusGrid(16))
 
     @pytest.mark.filterwarnings("error")
-    def test_energy_sum_overflow_rejected_from_scalars(self, monkeypatch):
-        # energy_hats sums ic_energy * n^4 / (2 pi^2) before normalizing: at
-        # n = 16 that overflows between ic_energy 1e303 and 1e304. The random
-        # path decides from scalars, with the one energy evaluation it makes.
-        calls = []
-        energy = experiments._omega_energy
-        monkeypatch.setattr(experiments, "_omega_energy",
-                            lambda *args: calls.append(args) or energy(*args))
+    def test_energy_overflow_rejected(self, omega_energy_calls):
+        # at n = 16 and alpha = 0.25, sum |q0|^2 is 4.5e307 for ic_energy
+        # 1e303 and overflows for 1e304; the random path evaluates the
+        # energy once, to rescale
         grid = TorusGrid(16)
-        omega_hat = make_omega0(RunConfig(n=16, ic_energy=1e303), grid)
-        assert len(calls) == 1
-        assert np.isfinite(energy(grid, omega_hat, 0.25))
+        state = make_initial_condition(RunConfig(n=16, ic_energy=1e303), grid)
+        assert len(omega_energy_calls) == 1
+        assert np.isfinite(compute_diagnostics(state).energy)
         with pytest.raises(ConfigError, match=r"ic_energy=1e\+304 is too large for n=16"):
-            make_omega0(RunConfig(n=16, ic_energy=1e304), grid)
-        assert len(calls) == 2
+            make_initial_condition(RunConfig(n=16, ic_energy=1e304), grid)
+        assert len(omega_energy_calls) == 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ic", ["taylor_green", "single_mode"])
-    def test_amplitude_overflow_rejected(self, ic):
+    def test_amplitude_overflow_rejected(self, ic, omega_energy_calls):
         grid = TorusGrid(16)
         cfg = RunConfig(n=16, ic=ic, ic_amplitude=1e151)
-        assert np.isfinite(experiments._omega_energy(grid, make_omega0(cfg, grid), 0.25))
+        assert np.isfinite(compute_diagnostics(make_initial_condition(cfg, grid)).energy)
         for amplitude in (1e152, 1e300, -1e308):
             with pytest.raises(ConfigError, match="ic_amplitude=.* is too large for n=16"):
-                make_omega0(cfg.replace(ic_amplitude=amplitude), grid)
+                make_initial_condition(cfg.replace(ic_amplitude=amplitude), grid)
+        assert not omega_energy_calls
+
+
+@pytest.fixture
+def omega_energy_calls(monkeypatch):
+    """The argument tuples of every ``experiments._omega_energy`` call."""
+    calls = []
+    energy = experiments._omega_energy
+    monkeypatch.setattr(experiments, "_omega_energy",
+                        lambda *args: calls.append(args) or energy(*args))
+    return calls
 
 
 class TestRun:
@@ -419,6 +426,12 @@ class TestSweepAlpha:
         with pytest.raises(ConfigError, match="finite"):
             sweep_alpha(_sweep_cfg(), (float("inf"), 0.1))
 
+    def test_member_initial_state_checked_at_its_alpha(self):
+        # omega0 is representable at alpha = 0.01, q0 = (1 + 100 k^2) omega0 is not
+        cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, ic_energy=1e300, alpha=0.01)
+        with pytest.raises(ConfigError, match=r"sweep member alpha=10 failed: ic_energy=1e\+300"):
+            sweep_alpha(cfg, (10.0, 5.0), workers=2)
+
     def test_members_forced_inviscid(self):
         cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, alpha=0.25,
                          nu=0.05, t_final=0.2)
@@ -455,6 +468,15 @@ class TestSweepFailurePropagation:
         cfg = _sweep_cfg(ic_amplitude=100.0, dt=0.1, t_final=0.5)
         with pytest.raises(CflViolation, match=r"sweep member nu=0\.001"):
             sweep_nu(cfg, (1e-3,))
+
+    def test_pooled_cfl_violation_stays_a_numerics_failure(self):
+        # the exception is pickled back from the worker with its fields
+        from euleralpha.integrators import CflViolation
+
+        cfg = _sweep_cfg(ic_amplitude=100.0, dt=0.1, t_final=0.5)
+        with pytest.raises(CflViolation, match=r"sweep member nu=0\.001 failed: CFL") as caught:
+            sweep_nu(cfg, (1e-3, 5e-4), workers=2)
+        assert (caught.value.limit, caught.value.t) == (0.5, 0.0)
 
     def test_energy_cross_check_failure_names_member(self, tmp_path, monkeypatch):
         from euleralpha import experiments

@@ -3,6 +3,8 @@ Tests for the steppers: exact decay, semigroup laws, splitting behavior,
 convergence orders, CFL rejection, and the integrate driver.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,17 @@ class TestLoopChecks:
         assert str(SCHEMES) in str(err.value)
         with pytest.raises(ValueError, match="expected one of"):
             integrate(state, 0.5, 0.1, scheme="euler")
+
+
+@pytest.mark.parametrize("exc, fields", [
+    (CflViolation(12.73, CFL_LIMIT, 0.25), ("cfl", "limit", "t")),
+    (NumericsFailure(0.375), ("t",)),
+])
+def test_numerics_exceptions_survive_pickling(exc, fields):
+    # a sweep member's exception is pickled back from its pool worker
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc) and str(copy) == str(exc)
+    assert all(getattr(copy, f) == getattr(exc, f) for f in fields)
 
 
 class TestStepRk4:

@@ -6,22 +6,30 @@ reproducible, and capped so the suite stays fast.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euleralpha.checks import cross_form_residual, semigroup_error
-from euleralpha.dynamics import SimState, max_speed, omega_from_q, rhs_vorticity
+from euleralpha.dynamics import (
+    SimState,
+    compute_diagnostics,
+    max_speed,
+    omega_from_q,
+    rhs_vorticity,
+)
 from euleralpha.experiments import (
     CONFIG_KEYS,
     IC_NAMES,
     ConfigError,
     RunConfig,
     load_config,
+    make_initial_condition,
 )
-from euleralpha.integrators import SCHEMES, STEPPERS
+from euleralpha.integrators import SCHEMES, STEPPERS, CflViolation, step_rk4
 from euleralpha.spectral import TorusGrid, dealias, l2_norm, stream_from_omega
 
 from conftest import direct_rhs, direct_step, hermitian_defect, random_spectrum
@@ -142,3 +150,52 @@ def test_config_file_gives_config_or_config_error(content):
 @given(config_overrides)
 def test_config_overrides_give_config_or_config_error(overrides):
     assert_config_or_error(lambda: load_config(None, overrides))
+
+
+# -- initial conditions: small grids only, with magnitudes up to the float range
+
+
+def powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def initial_configs(draw):
+    """A RunConfig on n in {8, 16, 32} with alpha, energy and amplitude up to overflow."""
+    n = draw(st.sampled_from((8, 16, 32)))
+    return RunConfig(
+        n=n,
+        alpha=draw(st.one_of(st.just(0.0), powers_of_ten(-3.0, 155.0))),
+        nu=draw(st.sampled_from((0.0, 0.05))),
+        ic=draw(st.sampled_from(IC_NAMES)),
+        ic_kx=draw(st.integers(0, 3)),
+        ic_ky=draw(st.integers(0, 3)),
+        ic_band=draw(st.integers(1, n // 2)),
+        ic_energy=draw(powers_of_ten(-200.0, 308.25)),  # 10**308.3 is not a float
+        ic_amplitude=draw(st.sampled_from((1.0, -1.0))) * draw(powers_of_ten(-100.0, 154.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@PROPERTY
+@given(initial_configs())
+def test_validated_config_gives_config_error_or_usable_state(cfg):
+    # one rule decides: a state make_initial_condition returns has a t = 0
+    # diagnostics row and a first step (or a CflViolation) with no warning
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = make_initial_condition(cfg)
+        except ConfigError:
+            return
+        diagnostics = compute_diagnostics(state, cfg.dt)
+        try:
+            step_rk4(state, cfg.dt)
+        except CflViolation:
+            pass
+    if cfg.ic == "random_bandlimited":
+        assert abs(diagnostics.energy - cfg.ic_energy) <= 1e-12 * cfg.ic_energy
