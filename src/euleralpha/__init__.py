@@ -29,14 +29,12 @@ from .dynamics import (  # noqa: F401
     energy_quadrature,
     leray_project_hats,
     omega_from_q,
-    rhs_vorticity,
     state_from_omega,
     velocity_hats_from_q,
 )
 from .integrators import (  # noqa: F401
     CflViolation,
     NumericsFailure,
-    cfl_number,
     diffusion_semigroup,
     integrate,
     step_lie_trotter,

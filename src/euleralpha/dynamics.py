@@ -30,8 +30,8 @@ machine precision.
 
 Nonlinear products are formed pointwise in physical space from dealiased
 spectral factors, and the product is dealiased again (2/3 rule). The state
-keeps the full spectrum of q; the RHS and the CFL speed transform its half,
-and :func:`rhs_columns` works on the retained columns ky = 0..kmax alone.
+keeps the full spectrum of q; the RHS, velocity and diagnostics read its
+columns ky = 0..kmax (:attr:`SimState.columns`) through :func:`_half_fields`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 from .spectral import (
     TorusGrid,
     _ifft_real,
-    add_columns,
     ddx,
     ddy,
     dealias,
@@ -86,6 +85,11 @@ class SimState:
 
     def replace(self, **changes) -> "SimState":
         return dataclasses.replace(self, **changes)
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The columns ky = 0..kmax of q_hat, which hold all of a dealiased state (a view)."""
+        return self.q_hat[:, : self.grid.kmax_dealias + 1]
 
 
 @dataclass(frozen=True)
@@ -131,21 +135,26 @@ def velocity_hats_from_q(
     return ddy(grid, psi_hat), -ddx(grid, psi_hat)
 
 
-def _half_fields(state: SimState, q_half: np.ndarray) -> np.ndarray:
-    """Stacked half spectra of (dx q, dy q, u_x, u_y) for ``q_half``."""
-    dx, dy = state.grid.DX, state.grid.DY[:, : q_half.shape[1]]
-    psi = q_half * rhs_factors(state.grid, state.alpha)[0, :, : q_half.shape[1]]
+def _half_fields(grid: TorusGrid, q_half: np.ndarray, alpha: float) -> np.ndarray:
+    """Stacked spectra of (dx q, dy q, u_x, u_y) on the columns ky = 0..w-1 of ``q_half``."""
+    dx, dy = grid.DX, grid.DY[:, : q_half.shape[1]]
+    psi = q_half * rhs_factors(grid, alpha)[0, :, : q_half.shape[1]]
     fields = np.empty((4, *q_half.shape), dtype=complex)
     for i, (d, f) in enumerate(((dx, q_half), (dy, q_half), (dy, psi), (-dx, psi))):
         np.multiply(d, f, out=fields[i])
     return fields
 
 
+def velocity_columns(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
+    """Stacked spectral (u_x, u_y) on the columns ky = 0..w-1 of a Hermitian q_hat, ``q``."""
+    return _half_fields(grid, q, alpha)[2:]
+
+
 def max_speed(state: SimState) -> float:
     """Max pointwise |u| of the state's velocity field (q_hat must be Hermitian)."""
     n = state.grid.n
-    ux, uy = np.fft.irfft2(_half_fields(state, state.q_hat[:, : n // 2 + 1])[2:], s=(n, n))
-    return float(np.hypot(ux, uy).max())
+    u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
+    return float(np.hypot(*np.fft.irfft2(u, s=(n, n))).max())
 
 
 def _rhs_and_velocity(state: SimState, q: np.ndarray):
@@ -156,7 +165,7 @@ def _rhs_and_velocity(state: SimState, q: np.ndarray):
         raise ValueError(f"expected the retained columns, shape {(n, w)}, got {q.shape}")
     mask = grid.dealias_mask[:, :w]
     q_masked = q * mask
-    qx, qy, ux, uy = np.fft.irfft2(_half_fields(state, q_masked), s=(n, n))
+    qx, qy, ux, uy = np.fft.irfft2(_half_fields(grid, q_masked, state.alpha), s=(n, n))
     out = -(np.fft.rfft2(ux * qx + uy * qy)[:, :w] * mask)
     if state.nu != 0.0:
         out -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_masked
@@ -170,9 +179,7 @@ def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
 
     ``q`` is the ``(n, kmax + 1)`` block of columns ky = 0..kmax of a
     Hermitian spectrum (the grid, alpha and nu come from ``state``); the
-    result is the same block of dq_hat/dt, mean mode pinned to 0. One
-    batched irfft2 of the dealiased (dx q, dy q, u_x, u_y), passing only
-    these columns, and one rfft2 of their product, sliced to them.
+    result is the same block of dq_hat/dt, mean mode pinned to 0.
     """
     return _rhs_and_velocity(state, q)[0]
 
@@ -181,16 +188,6 @@ def rhs_columns_and_speed(state: SimState, q: np.ndarray) -> tuple[np.ndarray, f
     """:func:`rhs_columns` and the max pointwise |u| of the velocity it transports with."""
     out, ux, uy = _rhs_and_velocity(state, q)
     return out, float(np.hypot(ux, uy).max())
-
-
-def rhs_vorticity(state: SimState) -> np.ndarray:
-    """
-    dq_hat/dt on the full spectrum, for Hermitian q_hat: :func:`rhs_columns`
-    of its retained columns, with the conjugate reflection filling ky < 0.
-    """
-    grid = state.grid
-    block = rhs_columns(state, state.q_hat[:, : grid.kmax_dealias + 1])
-    return add_columns(np.zeros((grid.n, grid.n), dtype=complex), block)
 
 
 def leray_project_hats(
@@ -247,10 +244,8 @@ def ad_star_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def energy_hats(grid: TorusGrid, ux_hat: np.ndarray, uy_hat: np.ndarray, alpha: float) -> float:
-    """H^1_alpha energy from spectral velocity: 0.5 * sum (1 + a^2 k^2) |u_hat|^2."""
-    weight = 1.0 + alpha**2 * grid.K2
-    total = np.sum(weight * (np.abs(ux_hat) ** 2 + np.abs(uy_hat) ** 2))
-    return 0.5 * float(total) * (2.0 * np.pi) ** 2 / grid.n**4
+    """H^1_alpha energy 0.5 * <u, (1 - alpha^2 Lap) u> from a dealiased spectral velocity."""
+    return 0.5 * sum(l2_inner(grid, u, helmholtz(grid, u, alpha)) for u in (ux_hat, uy_hat))
 
 
 def energy_quadrature(
@@ -267,21 +262,18 @@ def energy_quadrature(
 
 def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     """
-    Evaluate all diagnostics by exact spectral quadrature.
+    Evaluate all diagnostics by exact spectral quadrature on the retained columns.
 
     The energy is computed both spectrally and by physical-space
     quadrature; disagreement beyond 1e-11 relative indicates a corrupted
     state and raises.
     """
-    grid = state.grid
-    q_hat = state.q_hat
-    omega_hat = omega_from_q(grid, q_hat, state.alpha)
-    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, state.alpha)
-    ux, uy = _ifft_real(ux_hat), _ifft_real(uy_hat)
-    vx = _ifft_real(helmholtz(grid, ux_hat, state.alpha))
-    vy = _ifft_real(helmholtz(grid, uy_hat, state.alpha))
+    grid, alpha, q = state.grid, state.alpha, state.columns
+    fields = _half_fields(grid, q, alpha)
+    fields[:2] = helmholtz(grid, fields[2:], alpha)  # v in the slots of (dx q, dy q)
+    vx, vy, ux, uy = np.fft.irfft2(fields, s=(grid.n, grid.n))
 
-    energy = energy_hats(grid, ux_hat, uy_hat, state.alpha)
+    energy = energy_hats(grid, fields[2], fields[3], alpha)
     energy_phys = energy_quadrature(grid, ux, uy, vx, vy)
     scale = max(abs(energy), abs(energy_phys), 1e-300)
     if abs(energy - energy_phys) > _ENERGY_QUADRATURE_RTOL * scale and scale > 1e-30:
@@ -289,9 +281,10 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
             f"energy quadratures disagree: {energy!r} vs {energy_phys!r}"
         )
 
-    mean_q = integral(grid, q_hat)
-    casimir2 = l2_inner(grid, q_hat, q_hat)
-    enstrophy = l2_inner(grid, omega_hat, omega_hat)
+    omega = omega_from_q(grid, q, alpha)
+    mean_q = integral(grid, q)
+    casimir2 = l2_inner(grid, q, q)
+    enstrophy = l2_inner(grid, omega, omega)
     umax = float(np.hypot(ux, uy).max())
     return Diagnostics(
         t=state.t,

@@ -36,11 +36,11 @@ from .dynamics import (
     energy_hats,
     omega_from_q,
     state_from_omega,
-    velocity_hats_from_q,
+    velocity_columns,
 )
 from .integrators import SCHEMES, CflViolation, NumericsFailure, advance, integrate
 from .output import DiagnosticsLog, snapshot_name, write_manifest, write_snapshot
-from .spectral import TorusGrid, _ifft_real, forward_transform, helmholtz, l2_norm
+from .spectral import TorusGrid, _ifft_real, forward_transform, l2_norm
 
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
@@ -242,24 +242,32 @@ def _random_band_hat(grid: TorusGrid, K: int, seed: int) -> np.ndarray:
 
 
 def _omega_energy(grid: TorusGrid, omega_hat: np.ndarray, alpha: float) -> float:
-    ux_hat, uy_hat = velocity_hats_from_q(grid, helmholtz(grid, omega_hat, alpha), alpha)
-    return energy_hats(grid, ux_hat, uy_hat, alpha)
+    q = state_from_omega(grid, omega_hat, alpha).columns
+    return energy_hats(grid, *velocity_columns(grid, q, alpha), alpha)
 
 
 def make_initial_condition(cfg: RunConfig, grid: Optional[TorusGrid] = None) -> SimState:
-    """Initial SimState of :func:`make_omega0`'s vorticity, checked by :func:`_initial_state`."""
+    """
+    Initial SimState of :func:`make_omega0`'s vorticity, checked by :func:`_initial_state`;
+    ConfigError if a random one's t = 0 energy misses ic_energy by 1e-12 (it underflowed).
+    """
     grid = grid or TorusGrid(cfg.n)
-    return _initial_state(cfg, grid, make_omega0(cfg, grid))
+    state = _initial_state(cfg, grid, make_omega0(cfg, grid))
+    u = velocity_columns(grid, state.columns, cfg.alpha)
+    if cfg.ic == "random_bandlimited" and not (
+            abs(energy_hats(grid, *u, cfg.alpha) - cfg.ic_energy) <= 1e-12 * cfg.ic_energy):
+        raise ConfigError(f"ic_energy={cfg.ic_energy} underflows at alpha={cfg.alpha}, n={grid.n}")
+    return state
 
 
 def _initial_state(cfg: RunConfig, grid: TorusGrid, omega_hat: np.ndarray) -> SimState:
     """
-    q_hat = (1 - alpha^2 Lap) omega_hat, dealiased, at cfg's alpha and nu; ConfigError
-    unless sum |q_hat|^2, the largest sum the t = 0 diagnostics form, is finite.
+    q_hat = (1 - alpha^2 Lap) omega_hat at cfg; ConfigError unless sum |q_hat|^2 on its
+    columns, the largest sum the t = 0 row forms, is finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         state = state_from_omega(grid, omega_hat, cfg.alpha, nu=cfg.nu)
-    if not math.isfinite(np.vdot(state.q_hat, state.q_hat).real):
+    if not math.isfinite(np.vdot(state.columns, state.columns).real):
         name = "ic_energy" if cfg.ic == "random_bandlimited" else "ic_amplitude"
         raise ConfigError(f"{name}={getattr(cfg, name)} is too large for n={grid.n}: "
                           "the initial state overflows")
@@ -274,8 +282,8 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
     Integrate the configured problem, writing diagnostics CSV, snapshots,
     and a run manifest into ``cfg.out``. Returns the final state.
 
-    It starts from ``omega_hat``, else from :func:`make_omega0`, through
-    :func:`_initial_state`, whose ConfigError comes before ``cfg.out`` exists.
+    It starts from ``omega_hat`` through :func:`_initial_state`, else from
+    :func:`make_initial_condition`; either's ConfigError precedes ``cfg.out``.
 
     A run stopped by :class:`CflViolation`, :class:`NumericsFailure` or
     ``FloatingPointError`` still writes the rows logged so far, and a
@@ -287,7 +295,8 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
         raise ConfigError("run requires an output directory (out)")
     started = time.perf_counter()
     grid = TorusGrid(cfg.n)
-    state = _initial_state(cfg, grid, make_omega0(cfg, grid) if omega_hat is None else omega_hat)
+    state = (make_initial_condition(cfg, grid) if omega_hat is None
+             else _initial_state(cfg, grid, omega_hat))
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -299,7 +308,9 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
             if step % cfg.diag_every == 0 or last:
                 log.rows.append(compute_diagnostics(state, cfg.dt))
             if step % cfg.save_every == 0 or last:
-                _save_snapshot(out_dir, step, state)
+                omega = _ifft_real(omega_from_q(grid, state.q_hat, state.alpha))
+                write_snapshot(out_dir / snapshot_name(step), grid.n, state.alpha, state.nu,
+                               state.t, omega)
     except (CflViolation, NumericsFailure, FloatingPointError) as exc:
         # a FloatingPointError carries no time: it came from the last state
         failed_at_t = getattr(exc, "t", state.t)
@@ -318,14 +329,6 @@ def _write_record(out_dir: Path, cfg: RunConfig, log: DiagnosticsLog, started: f
     entries["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
     entries.update(failure)
     write_manifest(out_dir / "manifest.txt", entries)
-
-
-def _save_snapshot(out_dir: Path, step: int, state: SimState) -> None:
-    omega = _ifft_real(omega_from_q(state.grid, state.q_hat, state.alpha))
-    write_snapshot(
-        out_dir / snapshot_name(step),
-        state.grid.n, state.alpha, state.nu, state.t, omega,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +358,16 @@ def _loglog_fit(values: Sequence[float], dists: Sequence[float]) -> tuple[float,
 
 
 def _terminal_q(cfg: RunConfig, omega_bytes: bytes) -> np.ndarray:
-    """Sweep member: integrate one configuration, return the terminal q_hat."""
+    """Sweep member: integrate one configuration, return its terminal q_hat's retained columns."""
     omega_hat = np.frombuffer(omega_bytes, dtype=np.complex128).reshape(cfg.n, cfg.n)
     if cfg.out is not None:
-        return run(cfg, omega_hat=omega_hat).q_hat
+        return run(cfg, omega_hat=omega_hat).columns
     state = _initial_state(cfg, TorusGrid(cfg.n), omega_hat)
-    return integrate(state, cfg.t_final, cfg.dt, cfg.scheme).q_hat
+    return integrate(state, cfg.t_final, cfg.dt, cfg.scheme).columns
 
 
-def _map_members(configs, omega_bytes: bytes, labels, workers: int):
-    """Run sweep members; a failing member aborts the sweep, labeled."""
+def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, workers: int):
+    """Check every member's initial state, then run them; a failure aborts the rest, labeled."""
     def _collect(calls):
         out = []
         for label, call in zip(labels, calls):
@@ -376,18 +379,23 @@ def _map_members(configs, omega_bytes: bytes, labels, workers: int):
                 raise
         return out
 
+    _collect(functools.partial(_initial_state, c, grid, omega_hat) for c in configs)
+    omega_bytes = omega_hat.tobytes()
     if workers <= 1:
         return _collect(functools.partial(_terminal_q, c, omega_bytes) for c in configs)
     # under fork the pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         futures = [pool.submit(_terminal_q, c, omega_bytes) for c in configs]
-        return _collect(f.result for f in futures)
+        try:
+            return _collect(f.result for f in futures)
+        finally:
+            for f in futures:
+                f.cancel()
 
 
 def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> float:
-    uxa, uya = velocity_hats_from_q(grid, qa, alpha_a)
-    uxb, uyb = velocity_hats_from_q(grid, qb, alpha_b)
-    return math.sqrt(2.0 * energy_hats(grid, uxa - uxb, uya - uyb, weight_alpha))
+    ux, uy = velocity_columns(grid, qa, alpha_a) - velocity_columns(grid, qb, alpha_b)
+    return math.sqrt(2.0 * energy_hats(grid, ux, uy, weight_alpha))
 
 
 def _finite_list(name: str, values: Sequence[float]) -> tuple:
@@ -399,18 +407,18 @@ def _finite_list(name: str, values: Sequence[float]) -> tuple:
 
 def _sweep(cfg: RunConfig, members, reference, workers: int):
     """
-    Run ``(label, dirname, config)`` members and the reference from one
-    shared omega0; returns the grid, the members' terminal q_hats and the
-    reference's.
+    Run ``(label, dirname, config)`` members and the reference from one shared omega0,
+    checked at cfg; returns the grid and the members' and reference's terminal q columns.
     """
     grid = TorusGrid(cfg.n)
-    omega_bytes = make_omega0(cfg, grid).tobytes()
+    make_initial_condition(cfg, grid)
     runs = (*members, reference)
     configs = [
         c.replace(out=None if cfg.out is None else str(Path(cfg.out) / dirname))
         for _, dirname, c in runs
     ]
-    *q_members, q_ref = _map_members(configs, omega_bytes, [r[0] for r in runs], workers)
+    omega_hat, labels = make_omega0(cfg, grid), [r[0] for r in runs]
+    *q_members, q_ref = _map_members(configs, grid, omega_hat, labels, workers)
     return grid, q_members, q_ref
 
 

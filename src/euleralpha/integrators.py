@@ -70,28 +70,18 @@ class NumericsFailure(RuntimeError):
         return type(self), (self.t,)
 
 
-def cfl_number(state: SimState, dt: float) -> float:
-    """Advective CFL number max|u| * dt / h."""
-    return max_speed(state) * dt / state.grid.h
-
-
 def _check_cfl(state: SimState, dt: float, speed: float) -> None:
     cfl = speed * dt / state.grid.h
     if cfl > CFL_LIMIT:
         raise CflViolation(cfl, CFL_LIMIT, state.t)
 
 
-def _retained(state: SimState) -> np.ndarray:
-    """The columns ky = 0..kmax of q_hat, outside which every dealiased field vanishes."""
-    return state.q_hat[:, : state.grid.kmax_dealias + 1]
-
-
 def _rk4_update(state: SimState, dt: float, k1: np.ndarray) -> np.ndarray:
     """
-    q_hat after one classical RK4 step of dq/dt = rhs_vorticity, given the
+    q_hat after one classical RK4 step of dq/dt = rhs_columns, given the
     first stage k1 on the retained columns, with the mean pinned to 0.
     """
-    q = _retained(state)
+    q = state.columns
     k2 = rhs_columns(state, q + 0.5 * dt * k1)
     k3 = rhs_columns(state, q + 0.5 * dt * k2)
     k4 = rhs_columns(state, q + dt * k3)
@@ -102,7 +92,7 @@ def _rk4_update(state: SimState, dt: float, k1: np.ndarray) -> np.ndarray:
 
 def step_rk4(state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the full vorticity equation."""
-    k1, speed = rhs_columns_and_speed(state, _retained(state))
+    k1, speed = rhs_columns_and_speed(state, state.columns)
     _check_cfl(state, dt, speed)
     return state.replace(q_hat=_rk4_update(state, dt, k1), t=state.t + dt)
 
@@ -110,7 +100,7 @@ def step_rk4(state: SimState, dt: float) -> SimState:
 def _transport(state: SimState, q_hat: np.ndarray, dt: float) -> np.ndarray:
     """``q_hat`` after one inviscid RK4 transport step over dt."""
     inviscid = state.replace(q_hat=q_hat, nu=0.0)
-    return _rk4_update(inviscid, dt, rhs_columns(inviscid, _retained(inviscid)))
+    return _rk4_update(inviscid, dt, rhs_columns(inviscid, inviscid.columns))
 
 
 def diffusion_semigroup(state: SimState, dt: float) -> SimState:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimState, velocity_hats_from_q
+from .dynamics import SimState, velocity_columns
 from .integrators import NumericsFailure, _march, step_rk4
 from .spectral import TorusGrid
 
@@ -55,14 +55,14 @@ def eval_velocity_at(
     """
     Evaluate the velocity interpolant at arbitrary points.
 
-    ``u_hats`` are the spectral coefficients of (u_x, u_y); ``points`` is
-    an (M, 2) array. Returns an (M, 2) array of velocities. Summation runs
-    over the unmasked modes only.
+    ``u_hats`` are the spectral coefficients of (u_x, u_y), at least their
+    columns ky = 0..kmax; ``points`` is an (M, 2) array. Returns an (M, 2)
+    array of velocities. Summation runs over the unmasked modes only.
 
     The coefficients must be Hermitian, ``c(-k) == conj(c(k))``, as those
-    of every real field are: the sum runs over ky >= 0 only, with weight 2
-    for ky > 0, and keeps its real part. A non-Hermitian input gives the
-    real part of a different field, without an error.
+    of every real field are: the sum runs over ky = 0..kmax only, with
+    weight 2 for ky > 0, and keeps its real part. A non-Hermitian input
+    gives the real part of a different field, without an error.
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
@@ -129,7 +129,7 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
         # before any marker is moved by it
         if not np.all(np.isfinite(full.q_hat)):
             raise NumericsFailure(full.t)
-        stages = tuple(velocity_hats_from_q(x.grid, x.q_hat, x.alpha) for x in (s, half, full))
+        stages = tuple(velocity_columns(x.grid, x.columns, x.alpha) for x in (s, half, full))
         pm = advect_particles(pm, s, step_dt, stages)
         return full
 

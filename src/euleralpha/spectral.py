@@ -12,9 +12,9 @@ are integers. Scalar fields are represented two ways:
 * physical: real ``(n, n)`` arrays indexed ``[ix, iy]`` (x is axis 0),
 * spectral: complex ``(n, n)`` arrays of unnormalized forward-FFT
   coefficients in numpy's standard frequency ordering. States keep all of
-  them; the RHS transforms only the half ky = 0..n/2 (``rfft2`` layout)
-  and returns only the retained columns ky = 0..kmax_dealias, which
-  :func:`add_columns` adds back to a full spectrum.
+  them, but a dealiased field is all in its columns ky = 0..kmax_dealias
+  (``rfft2`` layout): the Helmholtz multipliers and :func:`l2_inner` work on
+  them, and :func:`add_columns` adds such a block back to a full spectrum.
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -159,12 +159,12 @@ def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def helmholtz(grid: TorusGrid, coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Apply ``1 - alpha**2 * Lap``, i.e. the multiplier ``1 + alpha**2 k**2``."""
-    return (1.0 + alpha**2 * grid.K2) * coeffs
+    return (1.0 + alpha**2 * grid.K2[:, : coeffs.shape[-1]]) * coeffs
 
 
 def inverse_helmholtz(grid: TorusGrid, coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Apply ``(1 - alpha**2 * Lap)^-1``, the smoothing filter ``1/(1 + alpha**2 k**2)``."""
-    return coeffs / (1.0 + alpha**2 * grid.K2)
+    return coeffs / (1.0 + alpha**2 * grid.K2[:, : coeffs.shape[-1]])
 
 
 def ddx(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -204,8 +204,13 @@ def integral(grid: TorusGrid, coeffs: np.ndarray) -> float:
 
 
 def l2_inner(grid: TorusGrid, f_hat: np.ndarray, g_hat: np.ndarray) -> float:
-    """Exact L2 inner product ``int f g dx`` by Parseval."""
-    return float(np.sum(np.conj(f_hat) * g_hat).real) * (2.0 * np.pi) ** 2 / grid.n**4
+    """
+    Exact ``int f g dx`` of dealiased fields by Parseval on the retained columns, ky > 0
+    twice for -ky; (2pi)^2 / n^4 is in the weights, so only an infinite integral overflows.
+    """
+    w = grid.kmax_dealias + 1
+    weights = np.where(np.arange(w) == 0, 1.0, 2.0) * ((2.0 * np.pi) ** 2 / grid.n**4)
+    return float(np.sum((np.conj(f_hat[:, :w]) * g_hat[:, :w]).real * weights))
 
 
 def l2_norm(grid: TorusGrid, f_hat: np.ndarray) -> float:

@@ -4,15 +4,28 @@ import numpy as np
 import pytest
 
 from euleralpha.dynamics import (
+    Diagnostics,
     SimState,
+    energy_quadrature,
+    max_speed,
     omega_from_q,
-    rhs_vorticity,
+    rhs_columns,
     state_from_omega,
     velocity_hats_from_q,
 )
 from euleralpha.integrators import diffusion_semigroup
 from euleralpha.particles import ParticleMap, jacobian_determinant
-from euleralpha.spectral import TorusGrid, _ifft_real, ddx, ddy, dealias, forward_transform
+from euleralpha.spectral import (
+    TorusGrid,
+    _ifft_real,
+    add_columns,
+    ddx,
+    ddy,
+    dealias,
+    forward_transform,
+    helmholtz,
+    integral,
+)
 
 #: Hermitian-symmetry tolerance of ``inverse_transform`` (relative to the field magnitude)
 _HERMITIAN_RTOL = 1e-9
@@ -45,7 +58,7 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
 
 def direct_rhs(state: SimState) -> np.ndarray:
     """
-    Oracle for ``dynamics.rhs_vorticity``: the full-spectrum body, four
+    Oracle for ``dynamics.rhs_columns``: the full-spectrum body, four
     complex inverse transforms of the dealiased factors and one forward
     transform of their product, dealiased again.
     """
@@ -65,21 +78,70 @@ def direct_rhs(state: SimState) -> np.ndarray:
     return out
 
 
+def full_rhs(state: SimState) -> np.ndarray:
+    """
+    dq_hat/dt on the full spectrum of a Hermitian q_hat: ``rhs_columns`` of
+    its retained columns, the conjugate reflection filling ky < 0, bit for
+    bit the right-hand side the steppers' column stages use.
+    """
+    grid = state.grid
+    return add_columns(np.zeros((grid.n, grid.n), dtype=complex), rhs_columns(state, state.columns))
+
+
 def direct_max_speed(state: SimState) -> float:
     """Oracle for ``dynamics.max_speed``: two full-spectrum inverse transforms."""
     ux_hat, uy_hat = velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
     return float(np.hypot(_ifft_real(ux_hat), _ifft_real(uy_hat)).max())
 
 
+def cfl_number(state: SimState, dt: float) -> float:
+    """The advective CFL number max|u| * dt / h the steppers reject above their limit."""
+    return max_speed(state) * dt / state.grid.h
+
+
+def direct_l2_inner(grid: TorusGrid, f_hat: np.ndarray, g_hat: np.ndarray) -> float:
+    """Oracle for ``spectral.l2_inner``: the Parseval sum over the full spectrum, then scaled."""
+    return float(np.sum(np.conj(f_hat) * g_hat).real) * (2.0 * np.pi) ** 2 / grid.n**4
+
+
+def direct_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
+    """
+    Oracle for ``dynamics.compute_diagnostics``: the full-spectrum body, the
+    velocity from ``velocity_hats_from_q``, four complex inverse transforms
+    and the full-spectrum Parseval sums, the energy cross-check asserted.
+    """
+    grid = state.grid
+    q_hat = state.q_hat
+    omega_hat = omega_from_q(grid, q_hat, state.alpha)
+    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, state.alpha)
+    ux, uy = _ifft_real(ux_hat), _ifft_real(uy_hat)
+    vx = _ifft_real(helmholtz(grid, ux_hat, state.alpha))
+    vy = _ifft_real(helmholtz(grid, uy_hat, state.alpha))
+    weight = 1.0 + state.alpha**2 * grid.K2
+    total = np.sum(weight * (np.abs(ux_hat) ** 2 + np.abs(uy_hat) ** 2))
+    energy = 0.5 * float(total) * (2.0 * np.pi) ** 2 / grid.n**4
+    assert abs(energy - energy_quadrature(grid, ux, uy, vx, vy)) <= 1e-11 * max(energy, 1e-300)
+    umax = float(np.hypot(ux, uy).max())
+    return Diagnostics(
+        t=state.t,
+        energy=energy,
+        mean_q=integral(grid, q_hat),
+        casimir2=direct_l2_inner(grid, q_hat, q_hat),
+        enstrophy=direct_l2_inner(grid, omega_hat, omega_hat),
+        max_u=umax,
+        cfl=umax * dt / grid.h,
+    )
+
+
 def direct_rk4_update(state: SimState, dt: float) -> np.ndarray:
     """
     Oracle for the steppers' RK4 update: the full-spectrum stage body, four
-    ``rhs_vorticity`` calls on whole (n, n) stage states.
+    :func:`full_rhs` calls on whole (n, n) stage states.
     """
-    k1 = rhs_vorticity(state)
-    k2 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k1, t=state.t + 0.5 * dt))
-    k3 = rhs_vorticity(state.replace(q_hat=state.q_hat + 0.5 * dt * k2, t=state.t + 0.5 * dt))
-    k4 = rhs_vorticity(state.replace(q_hat=state.q_hat + dt * k3, t=state.t + dt))
+    k1 = full_rhs(state)
+    k2 = full_rhs(state.replace(q_hat=state.q_hat + 0.5 * dt * k1, t=state.t + 0.5 * dt))
+    k3 = full_rhs(state.replace(q_hat=state.q_hat + 0.5 * dt * k2, t=state.t + 0.5 * dt))
+    k4 = full_rhs(state.replace(q_hat=state.q_hat + dt * k3, t=state.t + dt))
     q_new = state.q_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     q_new[0, 0] = 0.0
     return q_new

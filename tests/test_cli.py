@@ -7,11 +7,12 @@ system).
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from euleralpha import experiments
 from euleralpha.cli import main
-from euleralpha.output import read_snapshot
+from euleralpha.output import read_diagnostics, read_snapshot
 
 
 def run_args(tmp_path, **kw):
@@ -115,15 +116,31 @@ class TestRunCommand:
         ["--ic", "taylor_green", "--ic-amplitude", "1e153"],
         ["--ic", "taylor_green", "--ic-amplitude", "1e300"],
         ["--alpha", "1", "--ic-energy", "2e303"],
-    ], ids=["energy", "amplitude_1e153", "amplitude_1e300", "casimir_sum"])
+        ["--n", "32", "--alpha", "8.3e107", "--ic-energy", "1e-200"],
+    ], ids=["energy", "amplitude_1e153", "amplitude_1e300", "casimir_sum", "underflow"])
     def test_unrepresentable_initial_condition_is_config_error(self, flags, tmp_path,
                                                                monkeypatch, capsys):
-        # finite inputs whose sum |q0|^2 overflows; at alpha = 1 the energy
-        # sum of 2e303 is still finite
+        # finite inputs whose sum |q0|^2 overflows (at alpha = 1 the energy
+        # sum of 2e303 is still finite), or whose rescale to ic_energy
+        # underflows to the zero field
         err = lone_config_error(
             ["run", "--n", "16", "--t-final", "0.01", "--out", "o", *flags],
             tmp_path, monkeypatch, capsys)
         assert err.startswith("configuration error: ic_")
+
+    def test_initial_row_near_overflow_is_finite(self, tmp_path, monkeypatch, capsys):
+        # sum |q0|^2 is 4.5e307: the diagnostics scale each term before they sum
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--n", "16", "--ic-energy", "1e303", "--t-final", "0.001",
+                         "--out", "o"])
+        assert code == 2 and not caught
+        assert capsys.readouterr().err.startswith("numerical failure: CFL number")
+        cols = read_diagnostics(tmp_path / "o" / "diagnostics.csv")
+        assert list(cols["t"]) == [0.0]
+        assert all(np.isfinite(cols[name]).all() for name in cols)
+        assert cols["casimir2"][0] == pytest.approx(2.72e304, rel=1e-2)
 
     def test_huge_cfl_number_is_one_short_line(self, tmp_path, capsys):
         code = main(["run", "--n", "8", "--ic", "taylor_green", "--ic-amplitude", "1e150",
@@ -199,11 +216,14 @@ class TestSweepCommands:
         assert err.startswith("configuration error: alpha=4e+152 is too large for n=32")
 
     def test_member_initial_state_overflow_is_config_error(self, tmp_path, monkeypatch, capsys):
-        # omega0 is checked at alpha = 0.01, each member's q0 at its own alpha
-        err = lone_config_error(["sweep-alpha", "--n", "16", "--alpha", "0.01", "--ic-energy",
-                                 "1e300", "--t-final", "0.01", "--dt", "1e-3", "--alpha-list",
-                                 "10,5", "--out", "o"], tmp_path, monkeypatch, capsys)
-        assert err.startswith("configuration error: sweep member alpha=10 failed: ic_energy=")
+        # omega0 is checked at alpha = 0.01, each member's q0 at its own
+        # alpha, all before the first member starts: no member directory
+        for workers in ("1", "2"):
+            err = lone_config_error(["sweep-alpha", "--n", "16", "--alpha", "0.01", "--ic-energy",
+                                     "1e300", "--t-final", "0.01", "--dt", "1e-3", "--alpha-list",
+                                     "10,5", "--out", "o", "--workers", workers],
+                                    tmp_path, monkeypatch, capsys)
+            assert err.startswith("configuration error: sweep member alpha=10 failed: ic_energy=")
 
     def test_dead_worker_is_one_line_exit_3(self, monkeypatch, capsys):
         # the pool forks after the patch, so both workers run _worker_dies

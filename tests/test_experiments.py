@@ -4,6 +4,8 @@ persisted runs, the snapshot/CSV formats, and the parameter sweeps.
 """
 
 import dataclasses
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,7 +462,30 @@ class TestSplittingOrderStudy:
             splitting_order_study(cfg, (float("nan"), 0.01, 0.005))
 
 
+def _first_member_fails(cfg, omega_bytes):
+    """Stands in for a sweep member: nu = 1e-3 fails at once, any other makes its directory."""
+    from euleralpha.integrators import CflViolation
+
+    if cfg.nu == 1e-3:
+        raise CflViolation(1.0, 0.5, 0.0)
+    time.sleep(0.3)
+    Path(cfg.out).mkdir(parents=True)
+
+
 class TestSweepFailurePropagation:
+    def test_pooled_failure_cancels_members_not_started(self, tmp_path, monkeypatch):
+        # the pool forks after the patch; members already handed to a worker
+        # finish, the rest of the ten never start
+        from euleralpha.integrators import CflViolation
+
+        monkeypatch.setattr(experiments, "_terminal_q", _first_member_fails)
+        nu_list = tuple(1e-4 * (10 - i) for i in range(9))
+        with pytest.raises(CflViolation, match=r"sweep member nu=0\.001 failed"):
+            sweep_nu(_sweep_cfg(out=str(tmp_path)), nu_list, workers=2)
+        started = [p.name for p in tmp_path.iterdir()]
+        assert "nu_0" not in started and len(started) < len(nu_list) - 1
+
+
     def test_failing_member_aborts_with_its_value(self):
         # amplitude 100 at dt=0.1 violates the CFL limit immediately
         from euleralpha.integrators import CflViolation

@@ -18,7 +18,6 @@ from euleralpha.integrators import (
     SCHEMES,
     STEPPERS,
     advance,
-    cfl_number,
     diffusion_semigroup,
     integrate,
     step_lie_trotter,
@@ -26,7 +25,7 @@ from euleralpha.integrators import (
 )
 from euleralpha.spectral import TorusGrid, dealias, forward_transform, l2_norm
 
-from conftest import direct_rk4_update, direct_step, random_spectrum, random_state
+from conftest import cfl_number, direct_rk4_update, direct_step, random_spectrum, random_state
 
 
 def single_shell(grid, alpha, nu=0.0):

@@ -22,6 +22,12 @@ the number of files. Run it on two source trees, for example the parent
 of a change and the change itself: equal hashes mean every output stayed
 byte-identical. In-memory arrays are hashed with each -0.0 read as +0.0,
 the only difference a reordering of exact zero additions can make.
+
+One more line per output category follows, with the SHA-256 of that
+category's share of the same input, so that a change can show which
+outputs' bytes moved: the diagnostics CSVs of runs and sweep members, the
+snapshots, the manifests, the sweep results and summaries, the ``check``
+output, and the marker positions with the final q_hat of every run.
 """
 
 from __future__ import annotations
@@ -34,6 +40,17 @@ import tempfile
 from pathlib import Path
 
 _MANIFEST_SKIP = ("wall_time_s =", "out =")
+CATEGORIES = ("csv", "snapshots", "manifests", "sweeps", "check", "states")
+
+
+def _file_category(path: Path) -> str:
+    if path.name == "diagnostics.csv":
+        return "csv"
+    if path.suffix == ".eaf":
+        return "snapshots"
+    if path.name == "manifest.txt":
+        return "manifests"
+    return "sweeps"  # sweep_summary*.csv
 
 
 def _array_bytes(a) -> bytes:
@@ -49,7 +66,7 @@ def _file_bytes(path: Path) -> bytes:
     return "".join(l for l in lines if not l.startswith(_MANIFEST_SKIP)).encode("utf-8")
 
 
-def fingerprint(src_root: Path) -> tuple[str, int]:
+def fingerprint(src_root: Path) -> tuple[str, int, dict[str, str]]:
     sys.path.insert(0, str(src_root))
     import euleralpha as ea
     from euleralpha import cli, experiments, particles
@@ -58,9 +75,12 @@ def fingerprint(src_root: Path) -> tuple[str, int]:
         raise SystemExit(f"euleralpha imported from {ea.__file__}, not {src_root}")
 
     digest = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in CATEGORIES}
 
-    def feed(label: str, payload: bytes) -> None:
-        digest.update(label.encode("utf-8") + b"\0" + payload + b"\0")
+    def feed(category: str, label: str, payload: bytes) -> None:
+        chunk = label.encode("utf-8") + b"\0" + payload + b"\0"
+        digest.update(chunk)
+        parts[category].update(chunk)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -72,7 +92,7 @@ def fingerprint(src_root: Path) -> tuple[str, int]:
                 for i, ic in enumerate(ics):
                     cfg = base.replace(scheme=scheme, nu=nu, **ic)
                     final = experiments.run(cfg.replace(out=str(root / f"run_{scheme}_{nu}_{i}")))
-                    feed(f"run {scheme} {nu} {i}", _array_bytes(final.q_hat))
+                    feed("states", f"run {scheme} {nu} {i}", _array_bytes(final.q_hat))
 
         sweep = experiments.RunConfig(n=16, alpha=0.25, nu=0.05, dt=0.01, t_final=0.1, seed=3)
         studies = (
@@ -86,32 +106,34 @@ def fingerprint(src_root: Path) -> tuple[str, int]:
                 for with_out in (False, True):
                     out = str(root / f"sweep_{name}_{workers}") if with_out else None
                     result = study(sweep.replace(out=out), workers)
-                    feed(f"sweep {name} {workers} {with_out}", repr(result).encode("utf-8"))
+                    feed("sweeps", f"sweep {name} {workers} {with_out}", repr(result).encode("utf-8"))
 
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             status = cli.main(["check"])
-        feed(f"check {status}", stdout.getvalue().encode("utf-8"))
+        feed("check", f"check {status}", stdout.getvalue().encode("utf-8"))
 
         flow = experiments.RunConfig(n=64, alpha=0.25, nu=0.0, ic="random_bandlimited",
                                      ic_band=4, ic_energy=1.0, seed=2025)
         state, pm = particles.integrate_with_particles(
             experiments.make_initial_condition(flow), particles.ParticleMap.lattice(16),
             1.0, dt=1e-2)
-        feed("markers", _array_bytes(pm.positions) + _array_bytes(state.q_hat))
+        feed("states", "markers", _array_bytes(pm.positions) + _array_bytes(state.q_hat))
 
         files = sorted(p for p in root.rglob("*") if p.is_file())
         for path in files:
-            feed(str(path.relative_to(root)), _file_bytes(path))
-    return digest.hexdigest(), len(files)
+            feed(_file_category(path), str(path.relative_to(root)), _file_bytes(path))
+    return digest.hexdigest(), len(files), {name: h.hexdigest() for name, h in parts.items()}
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/fingerprint.py <src-root>", file=sys.stderr)
         return 2
-    digest, count = fingerprint(Path(argv[1]).resolve())
+    digest, count, parts = fingerprint(Path(argv[1]).resolve())
     print(f"{digest} {count} files")
+    for name, part in parts.items():
+        print(f"{part} {name}")
     return 0
 
 
