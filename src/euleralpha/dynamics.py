@@ -44,10 +44,12 @@ import numpy as np
 from .spectral import (
     TorusGrid,
     _ifft_real,
+    columns_to_grid,
     ddx,
     ddy,
     dealias,
     forward_transform,
+    grid_to_columns,
     helmholtz,
     integral,
     inverse_helmholtz,
@@ -154,7 +156,7 @@ def max_speed(state: SimState) -> float:
     """Max pointwise |u| of the state's velocity field (q_hat must be Hermitian)."""
     n = state.grid.n
     u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
-    return float(np.hypot(*np.fft.irfft2(u, s=(n, n))).max())
+    return float(np.hypot(*columns_to_grid(u, n)).max())
 
 
 def _rhs_and_velocity(state: SimState, q: np.ndarray):
@@ -165,8 +167,8 @@ def _rhs_and_velocity(state: SimState, q: np.ndarray):
         raise ValueError(f"expected the retained columns, shape {(n, w)}, got {q.shape}")
     mask = grid.dealias_mask[:, :w]
     q_masked = q * mask
-    qx, qy, ux, uy = np.fft.irfft2(_half_fields(grid, q_masked, state.alpha), s=(n, n))
-    out = -(np.fft.rfft2(ux * qx + uy * qy)[:, :w] * mask)
+    qx, qy, ux, uy = columns_to_grid(_half_fields(grid, q_masked, state.alpha), n)
+    out = -(grid_to_columns(ux * qx + uy * qy, w) * mask)
     if state.nu != 0.0:
         out -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_masked
     out[0, 0] = 0.0
@@ -271,7 +273,7 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     grid, alpha, q = state.grid, state.alpha, state.columns
     fields = _half_fields(grid, q, alpha)
     fields[:2] = helmholtz(grid, fields[2:], alpha)  # v in the slots of (dx q, dy q)
-    vx, vy, ux, uy = np.fft.irfft2(fields, s=(grid.n, grid.n))
+    vx, vy, ux, uy = columns_to_grid(fields, grid.n)
 
     energy = energy_hats(grid, fields[2], fields[3], alpha)
     energy_phys = energy_quadrature(grid, ux, uy, vx, vy)

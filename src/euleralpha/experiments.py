@@ -21,7 +21,7 @@ import dataclasses
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -367,10 +367,16 @@ def _terminal_q(cfg: RunConfig, omega_bytes: bytes) -> np.ndarray:
 
 
 def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, workers: int):
-    """Check every member's initial state, then run them; a failure aborts the rest, labeled."""
-    def _collect(calls):
+    """
+    Check every member's initial state, then run them; a failure aborts the rest, labeled.
+
+    A pool takes the members longest first (most steps t_final / dt, equal lengths in list
+    order: Graham's LPT rule), so that the sweep ends with its longest member. The first
+    failure cancels the members not yet started; results and failures are read in list order.
+    """
+    def _collect(labeled_calls):
         out = []
-        for label, call in zip(labels, calls):
+        for label, call in labeled_calls:
             try:
                 out.append(call())
             except (ConfigError, CflViolation, NumericsFailure, FloatingPointError,
@@ -379,15 +385,23 @@ def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, worker
                 raise
         return out
 
-    _collect(functools.partial(_initial_state, c, grid, omega_hat) for c in configs)
+    _collect(zip(labels, (functools.partial(_initial_state, c, grid, omega_hat) for c in configs)))
     omega_bytes = omega_hat.tobytes()
     if workers <= 1:
-        return _collect(functools.partial(_terminal_q, c, omega_bytes) for c in configs)
+        return _collect(zip(labels, (functools.partial(_terminal_q, c, omega_bytes)
+                                     for c in configs)))
+    longest_first = sorted(range(len(configs)), key=lambda i: configs[i].t_final / configs[i].dt,
+                           reverse=True)
     # under fork the pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-        futures = [pool.submit(_terminal_q, c, omega_bytes) for c in configs]
+        futures = [None] * len(configs)
+        for i in longest_first:
+            futures[i] = pool.submit(_terminal_q, configs[i], omega_bytes)
         try:
-            return _collect(f.result for f in futures)
+            for f in wait(futures, return_when=FIRST_EXCEPTION).not_done:
+                f.cancel()
+            return _collect((label, f.result) for label, f in zip(labels, futures)
+                            if not f.cancelled())
         finally:
             for f in futures:
                 f.cancel()

@@ -122,6 +122,23 @@ def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(coeffs).real
 
 
+def columns_to_grid(block: np.ndarray, n: int) -> np.ndarray:
+    """
+    Real ``(n, n)`` samples of the fields whose spectra have the columns ky = 0..w-1
+    ``block`` (last axes ``(n, w)``, w <= n/2 + 1) and zeros above: the two 1D passes
+    ``irfft2(block, s=(n, n))`` makes, without its nd wrapper, so bit for bit the same.
+    """
+    return np.fft.irfft(np.fft.ifft(block, axis=-2), n=n, axis=-1)
+
+
+def grid_to_columns(values: np.ndarray, w: int) -> np.ndarray:
+    """
+    The columns ky = 0..w-1 of the real grid fields' spectra, ``rfft2(values)[..., :w]``
+    bit for bit, with the axis-0 pass on those w columns only.
+    """
+    return np.fft.fft(np.fft.rfft(values)[..., :w], axis=-2)
+
+
 def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:
     """
     Real factors on the half spectrum ky = 0..n/2 taking q to the stream

@@ -6,11 +6,14 @@ import pytest
 from euleralpha.dynamics import (
     Diagnostics,
     SimState,
+    _half_fields,
+    energy_hats,
     energy_quadrature,
     max_speed,
     omega_from_q,
     rhs_columns,
     state_from_omega,
+    velocity_columns,
     velocity_hats_from_q,
 )
 from euleralpha.integrators import diffusion_semigroup
@@ -25,6 +28,8 @@ from euleralpha.spectral import (
     forward_transform,
     helmholtz,
     integral,
+    l2_inner,
+    rhs_factors,
 )
 
 #: Hermitian-symmetry tolerance of ``inverse_transform`` (relative to the field magnitude)
@@ -128,6 +133,52 @@ def direct_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
         mean_q=integral(grid, q_hat),
         casimir2=direct_l2_inner(grid, q_hat, q_hat),
         enstrophy=direct_l2_inner(grid, omega_hat, omega_hat),
+        max_u=umax,
+        cfl=umax * dt / grid.h,
+    )
+
+
+def nd_rhs_and_velocity(state: SimState, q: np.ndarray):
+    """
+    Oracle for ``dynamics._rhs_and_velocity``: its body through numpy's nd
+    transforms, one batched ``irfft2`` of the four fields and an ``rfft2`` of
+    their product sliced to the block, which the 1D passes must equal bit for bit.
+    """
+    grid = state.grid
+    n, w = grid.n, grid.kmax_dealias + 1
+    mask = grid.dealias_mask[:, :w]
+    q_masked = q * mask
+    qx, qy, ux, uy = np.fft.irfft2(_half_fields(grid, q_masked, state.alpha), s=(n, n))
+    out = -(np.fft.rfft2(ux * qx + uy * qy)[:, :w] * mask)
+    if state.nu != 0.0:
+        out -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_masked
+    out[0, 0] = 0.0
+    return out, ux, uy
+
+
+def nd_max_speed(state: SimState) -> float:
+    """Oracle for ``dynamics.max_speed``: one ``irfft2`` of the velocity on the half spectrum."""
+    n = state.grid.n
+    u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
+    return float(np.hypot(*np.fft.irfft2(u, s=(n, n))).max())
+
+
+def nd_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
+    """Oracle for ``dynamics.compute_diagnostics``: its body with one batched ``irfft2``."""
+    grid, alpha, q = state.grid, state.alpha, state.columns
+    fields = _half_fields(grid, q, alpha)
+    fields[:2] = helmholtz(grid, fields[2:], alpha)
+    vx, vy, ux, uy = np.fft.irfft2(fields, s=(grid.n, grid.n))
+    energy = energy_hats(grid, fields[2], fields[3], alpha)
+    assert abs(energy - energy_quadrature(grid, ux, uy, vx, vy)) <= 1e-11 * max(energy, 1e-300)
+    omega = omega_from_q(grid, q, alpha)
+    umax = float(np.hypot(ux, uy).max())
+    return Diagnostics(
+        t=state.t,
+        energy=energy,
+        mean_q=integral(grid, q),
+        casimir2=l2_inner(grid, q, q),
+        enstrophy=l2_inner(grid, omega, omega),
         max_u=umax,
         cfl=umax * dt / grid.h,
     )

@@ -16,6 +16,7 @@ import pytest
 from euleralpha.checks import cross_form_residual, helmholtz_pair_residuals, leray_residuals
 from euleralpha.dynamics import (
     SimState,
+    _rhs_and_velocity,
     ad_star_hats,
     compute_diagnostics,
     energy_quadrature,
@@ -42,6 +43,9 @@ from conftest import (
     direct_rhs,
     full_rhs,
     hermitian_defect,
+    nd_diagnostics,
+    nd_max_speed,
+    nd_rhs_and_velocity,
     random_band_hat,
     random_spectrum,
     random_state,
@@ -238,6 +242,32 @@ class TestHalfSpectrumRhs:
         del grid, state
         gc.collect()
         assert ref() is None
+
+
+class TestOneDimensionalPasses:
+    """The RHS, max_speed and diagnostics on 1D transform passes equal their nd bodies bit for bit."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_rhs_and_velocity(self, n, nu):
+        grid = TorusGrid(n)
+        state = random_state(grid, alpha=0.3, nu=nu, kmax=grid.kmax_dealias, seed=n)
+        stage = state.columns + 0.01 * random_spectrum(grid, n // 2, seed=n)[:, : grid.kmax_dealias + 1]
+        for q in (state.columns, stage):
+            for got, expected in zip(_rhs_and_velocity(state, q), nd_rhs_and_velocity(state, q)):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_max_speed_and_diagnostics(self, n, nu):
+        grid = TorusGrid(n)
+        state = random_state(grid, alpha=0.3, nu=nu, kmax=grid.kmax_dealias, seed=n)
+        # energy in every column up to n/2, Nyquist included, which max_speed reads too
+        beyond = SimState(grid, random_spectrum(grid, n // 2, seed=n + 1), 0.3, nu=nu)
+        assert np.abs(beyond.q_hat * ~grid.dealias_mask).max() > 0.0
+        for s in (state, beyond):
+            assert max_speed(s) == nd_max_speed(s)
+        assert compute_diagnostics(state, 1e-2) == nd_diagnostics(state, 1e-2)
 
 
 class TestLerayProjection:

@@ -324,6 +324,41 @@ class TestSnapshotFormat:
             read_snapshot(path)
 
 
+class InlinePool:
+    """
+    In-process stand-in for the sweeps' ProcessPoolExecutor (a real pool forks all
+    max_workers at the first submit): runs each member at its submit and records the
+    pool sizes and the submitted members' configs in submit order.
+    """
+
+    sizes: list
+    submitted: list
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, cfg, *args):
+        from concurrent.futures import Future
+
+        self.submitted.append(cfg)
+        future = Future()
+        future.set_result(fn(cfg, *args))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    pool = type("RecordingPool", (InlinePool,), {"sizes": [], "submitted": []})
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    return pool
+
+
 def _sweep_cfg(**kw):
     base = dict(n=32, alpha=0.5, nu=0.0, dt=0.01, t_final=1.0,
                 ic="single_mode", ic_kx=2, ic_ky=0, seed=0)
@@ -369,34 +404,17 @@ class TestSweepNu:
         parallel = sweep_nu(cfg, nus, workers=2)
         assert serial.distances_q == parallel.distances_q
 
-    def test_pool_no_larger_than_member_count(self, monkeypatch):
-        # an in-process stand-in: a real pool forks all max_workers at the first submit
-        from concurrent.futures import Future
-
-        from euleralpha import experiments
-
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    def test_pool_no_larger_than_member_count(self, inline_pool):
         cfg = _sweep_cfg(t_final=0.05)
         nus = (1e-2, 5e-3)
         assert sweep_nu(cfg, nus, workers=64) == sweep_nu(cfg, nus, workers=1)
-        assert sizes == [3]  # two members and the inviscid reference
+        assert inline_pool.sizes == [3]  # two members and the inviscid reference
+
+    def test_equal_length_members_submitted_in_list_order(self, inline_pool):
+        cfg = _sweep_cfg(t_final=0.05)
+        nus = (1e-2, 5e-3)
+        assert sweep_nu(cfg, nus, workers=2) == sweep_nu(cfg, nus, workers=1)
+        assert [c.nu for c in inline_pool.submitted] == [1e-2, 5e-3, 0.0]
 
     def test_member_outputs_written(self, tmp_path):
         cfg = _sweep_cfg(t_final=0.05, out=str(tmp_path), save_every=1000, diag_every=5)
@@ -461,6 +479,30 @@ class TestSplittingOrderStudy:
         with pytest.raises(ConfigError, match="finite"):
             splitting_order_study(cfg, (float("nan"), 0.01, 0.005))
 
+    def test_pool_takes_the_reference_first(self, inline_pool):
+        # most steps first: the rk4 reference, then the members by falling
+        # t_final / dt, the three schemes at one dt in their list order
+        cfg = _sweep_cfg(n=16, ic="random_bandlimited", ic_band=3, alpha=0.25, nu=0.05,
+                         t_final=0.1)
+        dts = (0.02, 0.01, 0.005)
+        pooled = splitting_order_study(cfg, dts, workers=2)
+        assert pooled == splitting_order_study(cfg, dts, workers=1)
+        members = [(s, dt) for dt in reversed(dts) for s in ("lie_trotter", "strang", "rk4")]
+        assert [(c.scheme, c.dt) for c in inline_pool.submitted] == [("rk4", 0.005 / 16), *members]
+
+
+def _fine_member_fails(cfg, omega_bytes):
+    """
+    Stands in for a splitting-study member: Lie-Trotter at dt = 0.00625, the first
+    member a pool takes after the reference, fails at once; any other makes its directory.
+    """
+    from euleralpha.integrators import CflViolation
+
+    if (cfg.scheme, cfg.dt) == ("lie_trotter", 0.00625):
+        raise CflViolation(1.0, 0.5, 0.0)
+    time.sleep(0.3)
+    Path(cfg.out).mkdir(parents=True)
+
 
 def _first_member_fails(cfg, omega_bytes):
     """Stands in for a sweep member: nu = 1e-3 fails at once, any other makes its directory."""
@@ -485,6 +527,28 @@ class TestSweepFailurePropagation:
         started = [p.name for p in tmp_path.iterdir()]
         assert "nu_0" not in started and len(started) < len(nu_list) - 1
 
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_short_member_raises_its_own_label(self, workers):
+        # max|u| = 20: the three members at dt = 0.008, which a pool takes last,
+        # violate the CFL limit at their first step (0.81 > 0.5), the rest do not
+        from euleralpha.integrators import CflViolation
+
+        cfg = _sweep_cfg(nu=0.02, ic_amplitude=40.0, t_final=0.04)
+        with pytest.raises(CflViolation, match=r"sweep member lie_trotter dt=0\.008 failed: CFL"):
+            splitting_order_study(cfg, (0.008, 0.004, 0.002), workers=workers)
+
+    def test_pooled_failure_under_longest_first(self, tmp_path, monkeypatch):
+        # the reference was taken first and runs to its end; members not yet
+        # handed to a worker are cancelled and make no directory
+        from euleralpha.integrators import CflViolation
+
+        monkeypatch.setattr(experiments, "_terminal_q", _fine_member_fails)
+        dts = (0.05, 0.025, 0.0125, 0.00625)
+        with pytest.raises(CflViolation, match=r"sweep member lie_trotter dt=0\.00625 failed"):
+            splitting_order_study(_sweep_cfg(nu=0.02, out=str(tmp_path)), dts, workers=2)
+        started = [p.name for p in tmp_path.iterdir()]
+        assert "split_reference" in started and len(started) < 3 * len(dts)
 
     def test_failing_member_aborts_with_its_value(self):
         # amplitude 100 at dt=0.1 violates the CFL limit immediately

@@ -7,10 +7,12 @@ import pytest
 
 from euleralpha.spectral import (
     TorusGrid,
+    columns_to_grid,
     ddx,
     ddy,
     dealias,
     forward_transform,
+    grid_to_columns,
     helmholtz,
     integral,
     inverse_helmholtz,
@@ -85,6 +87,16 @@ class TestTransforms:
         F[14, 0] = 16**2 / 2
         f = inverse_transform(F)
         assert np.abs(f - np.cos(2 * grid16.X)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [32, 512])
+    def test_column_passes_equal_the_nd_transforms(self, n):
+        # the two 1D passes are the ones numpy's irfft2 and rfft2 make
+        rng = np.random.default_rng(n)
+        w = TorusGrid(n).kmax_dealias + 1
+        block = rng.standard_normal((2, n, w)) + 1j * rng.standard_normal((2, n, w))
+        values = rng.standard_normal((n, n))
+        assert np.array_equal(columns_to_grid(block, n), np.fft.irfft2(block, s=(n, n)))
+        assert np.array_equal(grid_to_columns(values, w), np.fft.rfft2(values)[:, :w])
 
     def test_inverse_rejects_non_hermitian(self, grid16):
         F = np.zeros((16, 16), dtype=complex)
