@@ -324,39 +324,35 @@ class TestSnapshotFormat:
             read_snapshot(path)
 
 
-class InlinePool:
+@pytest.fixture
+def inline_pool(monkeypatch):
     """
     In-process stand-in for the sweeps' ProcessPoolExecutor (a real pool forks all
     max_workers at the first submit): runs each member at its submit and records the
     pool sizes and the submitted members' configs in submit order.
     """
+    from concurrent.futures import Future
 
-    sizes: list
-    submitted: list
+    class InlinePool:
+        sizes, submitted = [], []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+        def __enter__(self):
+            return self
 
-    def __exit__(self, *exc):
-        return False
+        def __exit__(self, *exc):
+            return False
 
-    def submit(self, fn, cfg, *args):
-        from concurrent.futures import Future
+        def submit(self, fn, cfg, *args):
+            self.submitted.append(cfg)
+            future = Future()
+            future.set_result(fn(cfg, *args))
+            return future
 
-        self.submitted.append(cfg)
-        future = Future()
-        future.set_result(fn(cfg, *args))
-        return future
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    pool = type("RecordingPool", (InlinePool,), {"sizes": [], "submitted": []})
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
-    return pool
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
 
 
 def _sweep_cfg(**kw):
