@@ -152,13 +152,6 @@ def velocity_columns(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray
     return _half_fields(grid, q, alpha)[2:]
 
 
-def max_speed(state: SimState) -> float:
-    """Max pointwise |u| of the state's velocity field (q_hat must be Hermitian)."""
-    n = state.grid.n
-    u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
-    return float(np.hypot(*columns_to_grid(u, n)).max())
-
-
 def _rhs_and_velocity(state: SimState, q: np.ndarray):
     """The block of :func:`rhs_columns` and the grid velocity (u_x, u_y) it transports with."""
     grid = state.grid

@@ -419,31 +419,33 @@ def _finite_list(name: str, values: Sequence[float]) -> tuple:
     return values
 
 
-def _sweep(cfg: RunConfig, members, reference, workers: int):
+def _sweep(cfg: RunConfig, groups, reference, workers: int) -> list[SweepResult]:
     """
-    Run ``(label, dirname, config)`` members and the reference from one shared omega0,
-    checked at cfg; returns the grid and the members' and reference's terminal q columns.
+    Run each group's ``(label, dirname, config)`` members, one per value, and the reference
+    from one shared omega0, checked at cfg. A group ``(parameter, values, members, filename)``
+    gets its members' distances (at their own alpha, weighted by cfg.alpha), fit and summary CSV.
     """
     grid = TorusGrid(cfg.n)
     make_initial_condition(cfg, grid)
-    runs = (*members, reference)
+    runs = [*(m for group in groups for m in group[2]), reference]
     configs = [
         c.replace(out=None if cfg.out is None else str(Path(cfg.out) / dirname))
         for _, dirname, c in runs
     ]
     omega_hat, labels = make_omega0(cfg, grid), [r[0] for r in runs]
     *q_members, q_ref = _map_members(configs, grid, omega_hat, labels, workers)
-    return grid, q_members, q_ref
-
-
-def _result(parameter, values, grid, q_members, q_ref, alphas, alpha_ref, weight_alpha):
-    """Distances of the members' terminal q to the reference's, with the log-log fit."""
-    d_q = tuple(l2_norm(grid, qm - q_ref) for qm in q_members)
-    d_u = tuple(
-        _u_distance(grid, qm, a, q_ref, alpha_ref, weight_alpha)
-        for qm, a in zip(q_members, alphas)
-    )
-    return SweepResult(parameter, values, d_q, d_u, *_loglog_fit(values, d_q))
+    alpha_ref = reference[2].alpha
+    results = []
+    for parameter, values, members, filename in groups:
+        qs, q_members = q_members[: len(members)], q_members[len(members):]
+        d_q = tuple(l2_norm(grid, qm - q_ref) for qm in qs)
+        d_u = tuple(
+            _u_distance(grid, qm, c.alpha, q_ref, alpha_ref, cfg.alpha)
+            for qm, (_, _, c) in zip(qs, members)
+        )
+        results.append(SweepResult(parameter, values, d_q, d_u, *_loglog_fit(values, d_q)))
+        _write_sweep_summary(cfg, results[-1], filename)
+    return results
 
 
 def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> SweepResult:
@@ -459,11 +461,7 @@ def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> Swee
         raise ConfigError("nu_list must be strictly descending")
     members = [(f"nu={v:g}", f"nu_{v:g}", cfg.replace(nu=v)) for v in nu_list]
     reference = ("nu=0 (reference)", "nu_0", cfg.replace(nu=0.0))
-    grid, q_members, q_ref = _sweep(cfg, members, reference, workers)
-    alphas = (cfg.alpha,) * len(nu_list)
-    result = _result("nu", nu_list, grid, q_members, q_ref, alphas, cfg.alpha, cfg.alpha)
-    _write_sweep_summary(cfg, result)
-    return result
+    return _sweep(cfg, [("nu", nu_list, members, "sweep_summary.csv")], reference, workers)[0]
 
 
 def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -> SweepResult:
@@ -484,10 +482,7 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
         (f"alpha={v:g}", f"alpha_{v:g}", cfg.replace(alpha=v, nu=0.0)) for v in alpha_list
     ]
     reference = ("alpha=0 (reference)", "alpha_0", cfg.replace(alpha=0.0, nu=0.0))
-    grid, q_members, q_ref = _sweep(cfg, members, reference, workers)
-    result = _result("alpha", alpha_list, grid, q_members, q_ref, alpha_list, 0.0, cfg.alpha)
-    _write_sweep_summary(cfg, result)
-    return result
+    return _sweep(cfg, [("alpha", alpha_list, members, "sweep_summary.csv")], reference, workers)[0]
 
 
 def splitting_order_study(
@@ -507,25 +502,19 @@ def splitting_order_study(
     if cfg.nu <= 0:
         raise ConfigError("splitting order study requires nu > 0")
     schemes = ("lie_trotter", "strang", "rk4")
-    members = [
-        (f"{s} dt={dt:g}", f"split_{s}_dt_{dt:g}", cfg.replace(scheme=s, dt=dt))
+    groups = [
+        (f"dt[{s}]", dt_list,
+         [(f"{s} dt={dt:g}", f"split_{s}_dt_{dt:g}", cfg.replace(scheme=s, dt=dt))
+          for dt in dt_list],
+         f"sweep_summary_{s}.csv")
         for s in schemes
-        for dt in dt_list
     ]
     dt_ref = min(dt_list) / 16.0
     reference = ("reference", "split_reference", cfg.replace(scheme="rk4", dt=dt_ref))
-    grid, q_members, q_ref = _sweep(cfg, members, reference, workers)
-
-    results: dict[str, SweepResult] = {}
-    alphas = (cfg.alpha,) * len(dt_list)
-    for i, s in enumerate(schemes):
-        qs = q_members[i * len(dt_list): (i + 1) * len(dt_list)]
-        results[s] = _result(f"dt[{s}]", dt_list, grid, qs, q_ref, alphas, cfg.alpha, cfg.alpha)
-        _write_sweep_summary(cfg, results[s], filename=f"sweep_summary_{s}.csv")
-    return results
+    return dict(zip(schemes, _sweep(cfg, groups, reference, workers)))
 
 
-def _write_sweep_summary(cfg: RunConfig, result: SweepResult, filename="sweep_summary.csv"):
+def _write_sweep_summary(cfg: RunConfig, result: SweepResult, filename: str):
     if cfg.out is None:
         return
     out_dir = Path(cfg.out)

@@ -20,12 +20,12 @@ The RK4 stages work on the retained columns ky = 0..kmax of q_hat, where
 every dealiased field lives (see :func:`dynamics.rhs_columns`); the
 increment enters the full spectrum together with its conjugate reflection.
 
-Every step re-pins the mean of q to zero and advances t; a step whose CFL
-number max|u| dt / h exceeds :data:`CFL_LIMIT` is rejected by raising
-:class:`CflViolation`. ``rk4`` takes max|u| from the velocity its first
-stage transports with; the splitting steppers measure the state before
-diffusion. The one time loop, :func:`_march`, rejects a dt that is not
-positive and finite and a t_final that is not finite.
+Every step re-pins the mean of q to zero and advances t. All three run one
+RK4 body, :func:`_rk4` (the splitting steppers on the diffused state, nu = 0),
+which raises :class:`CflViolation` when the CFL number max|u| dt / h of the
+velocity its first stage transports with exceeds :data:`CFL_LIMIT`. The one
+time loop, :func:`_march`, rejects a dt that is not positive and finite and
+a t_final that is not finite.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import SimState, max_speed, rhs_columns, rhs_columns_and_speed
+from .dynamics import SimState, rhs_columns, rhs_columns_and_speed
 from .spectral import add_columns
 
 SCHEMES = ("rk4", "lie_trotter", "strang")
@@ -70,18 +70,16 @@ class NumericsFailure(RuntimeError):
         return type(self), (self.t,)
 
 
-def _check_cfl(state: SimState, dt: float, speed: float) -> None:
+def _rk4(state: SimState, dt: float) -> np.ndarray:
+    """
+    q_hat after one classical RK4 step of dq/dt = rhs_columns, mean pinned to 0;
+    :class:`CflViolation`, before the second stage, if the first stage's CFL number is too large.
+    """
+    q = state.columns
+    k1, speed = rhs_columns_and_speed(state, q)
     cfl = speed * dt / state.grid.h
     if cfl > CFL_LIMIT:
         raise CflViolation(cfl, CFL_LIMIT, state.t)
-
-
-def _rk4_update(state: SimState, dt: float, k1: np.ndarray) -> np.ndarray:
-    """
-    q_hat after one classical RK4 step of dq/dt = rhs_columns, given the
-    first stage k1 on the retained columns, with the mean pinned to 0.
-    """
-    q = state.columns
     k2 = rhs_columns(state, q + 0.5 * dt * k1)
     k3 = rhs_columns(state, q + 0.5 * dt * k2)
     k4 = rhs_columns(state, q + dt * k3)
@@ -92,15 +90,7 @@ def _rk4_update(state: SimState, dt: float, k1: np.ndarray) -> np.ndarray:
 
 def step_rk4(state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the full vorticity equation."""
-    k1, speed = rhs_columns_and_speed(state, state.columns)
-    _check_cfl(state, dt, speed)
-    return state.replace(q_hat=_rk4_update(state, dt, k1), t=state.t + dt)
-
-
-def _transport(state: SimState, q_hat: np.ndarray, dt: float) -> np.ndarray:
-    """``q_hat`` after one inviscid RK4 transport step over dt."""
-    inviscid = state.replace(q_hat=q_hat, nu=0.0)
-    return _rk4_update(inviscid, dt, rhs_columns(inviscid, inviscid.columns))
+    return state.replace(q_hat=_rk4(state, dt), t=state.t + dt)
 
 
 def diffusion_semigroup(state: SimState, dt: float) -> SimState:
@@ -120,15 +110,13 @@ def diffusion_semigroup(state: SimState, dt: float) -> SimState:
 
 def step_lie_trotter(state: SimState, dt: float) -> SimState:
     """Diffusion semigroup over dt, then one inviscid transport step over dt."""
-    _check_cfl(state, dt, max_speed(state))
-    q_new = _transport(state, diffusion_semigroup(state, dt).q_hat, dt)
+    q_new = _rk4(state.replace(q_hat=diffusion_semigroup(state, dt).q_hat, nu=0.0), dt)
     return state.replace(q_hat=q_new, t=state.t + dt)
 
 
 def step_strang(state: SimState, dt: float) -> SimState:
     """Half-step diffusion, inviscid transport over dt, half-step diffusion."""
-    _check_cfl(state, dt, max_speed(state))
-    mid = _transport(state, diffusion_semigroup(state, 0.5 * dt).q_hat, dt)
+    mid = _rk4(state.replace(q_hat=diffusion_semigroup(state, 0.5 * dt).q_hat, nu=0.0), dt)
     out = diffusion_semigroup(state.replace(q_hat=mid), 0.5 * dt)
     return out.replace(t=state.t + dt)
 

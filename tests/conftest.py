@@ -9,7 +9,6 @@ from euleralpha.dynamics import (
     _half_fields,
     energy_hats,
     energy_quadrature,
-    max_speed,
     omega_from_q,
     rhs_columns,
     state_from_omega,
@@ -22,6 +21,7 @@ from euleralpha.spectral import (
     TorusGrid,
     _ifft_real,
     add_columns,
+    columns_to_grid,
     ddx,
     ddy,
     dealias,
@@ -93,14 +93,25 @@ def full_rhs(state: SimState) -> np.ndarray:
     return add_columns(np.zeros((grid.n, grid.n), dtype=complex), rhs_columns(state, state.columns))
 
 
+def max_speed(state: SimState) -> float:
+    """
+    Max pointwise |u| of the velocity of the whole half spectrum ky = 0..n/2 of a
+    Hermitian q_hat, on the solver's 1D passes. On a dealiased state it is the speed
+    ``rhs_columns_and_speed`` reports, the one the steppers' CFL check reads.
+    """
+    n = state.grid.n
+    u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
+    return float(np.hypot(*columns_to_grid(u, n)).max())
+
+
 def direct_max_speed(state: SimState) -> float:
-    """Oracle for ``dynamics.max_speed``: two full-spectrum inverse transforms."""
+    """Oracle for :func:`max_speed`: two full-spectrum inverse transforms."""
     ux_hat, uy_hat = velocity_hats_from_q(state.grid, state.q_hat, state.alpha)
     return float(np.hypot(_ifft_real(ux_hat), _ifft_real(uy_hat)).max())
 
 
 def cfl_number(state: SimState, dt: float) -> float:
-    """The advective CFL number max|u| * dt / h the steppers reject above their limit."""
+    """The advective CFL number max|u| * dt / h of the state's whole velocity field."""
     return max_speed(state) * dt / state.grid.h
 
 
@@ -157,7 +168,7 @@ def nd_rhs_and_velocity(state: SimState, q: np.ndarray):
 
 
 def nd_max_speed(state: SimState) -> float:
-    """Oracle for ``dynamics.max_speed``: one ``irfft2`` of the velocity on the half spectrum."""
+    """Oracle for :func:`max_speed`: one ``irfft2`` of the velocity on the half spectrum."""
     n = state.grid.n
     u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
     return float(np.hypot(*np.fft.irfft2(u, s=(n, n))).max())
@@ -198,14 +209,22 @@ def direct_rk4_update(state: SimState, dt: float) -> np.ndarray:
     return q_new
 
 
+def transported_state(scheme: str, state: SimState, dt: float) -> SimState:
+    """
+    The state a ``scheme`` step over dt runs its RK4 body on: the state itself for
+    rk4; for a splitting scheme the state diffused over dt (Lie-Trotter) or dt/2
+    (Strang), with nu = 0 and t still the step's start.
+    """
+    if scheme == "rk4":
+        return state
+    first = dt if scheme == "lie_trotter" else 0.5 * dt
+    return state.replace(q_hat=diffusion_semigroup(state, first).q_hat, nu=0.0)
+
+
 def direct_step(scheme: str, state: SimState, dt: float) -> np.ndarray:
     """q_hat after one ``scheme`` step built on :func:`direct_rk4_update` (no CFL check)."""
-    if scheme == "rk4":
-        return direct_rk4_update(state, dt)
-    first = dt if scheme == "lie_trotter" else 0.5 * dt
-    diffused = diffusion_semigroup(state, first).q_hat
-    q_new = direct_rk4_update(state.replace(q_hat=diffused, nu=0.0), dt)
-    if scheme == "lie_trotter":
+    q_new = direct_rk4_update(transported_state(scheme, state, dt), dt)
+    if scheme != "strang":
         return q_new
     return diffusion_semigroup(state.replace(q_hat=q_new), 0.5 * dt).q_hat
 

@@ -10,7 +10,7 @@ import pytest
 
 from euleralpha import integrators
 from euleralpha.checks import conservation_drifts, semigroup_error, single_mode_decay_error
-from euleralpha.dynamics import SimState, max_speed, omega_from_q, state_from_omega
+from euleralpha.dynamics import SimState, omega_from_q, state_from_omega
 from euleralpha.integrators import (
     CFL_LIMIT,
     CflViolation,
@@ -25,7 +25,9 @@ from euleralpha.integrators import (
 )
 from euleralpha.spectral import TorusGrid, dealias, forward_transform, l2_norm
 
-from conftest import cfl_number, direct_rk4_update, direct_step, random_spectrum, random_state
+from conftest import (
+    cfl_number, direct_step, max_speed, random_spectrum, random_state, transported_state,
+)
 
 
 def single_shell(grid, alpha, nu=0.0):
@@ -108,13 +110,14 @@ class TestStepRk4:
         assert err.value.limit == CFL_LIMIT
         assert cfl_number(state, dt) == pytest.approx(0.75, rel=1e-12)
 
-    def test_cfl_rejection_comes_before_the_second_stage(self, grid32, monkeypatch):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cfl_rejection_comes_before_the_second_stage(self, grid32, monkeypatch, scheme):
         def later_stage(*args):
             raise AssertionError("a stage after the first ran before the CFL check")
 
         monkeypatch.setattr(integrators, "rhs_columns", later_stage)
         with pytest.raises(CflViolation):
-            step_rk4(single_shell(grid32, alpha=0.0), 1.5 * grid32.h)
+            STEPPERS[scheme](single_shell(grid32, alpha=0.0, nu=0.01), 1.5 * grid32.h)
 
     def test_mean_mode_stays_zero(self, grid32):
         state = random_state(grid32, alpha=0.25, nu=0.01, seed=2)
@@ -151,30 +154,33 @@ class TestRetainedColumnSteps:
                 assert np.array_equal(step(step(state, dt), dt).q_hat, expected.q_hat), scheme
 
     def test_cfl_violation_carries_cfl_number(self, n, alpha, nu):
+        # every scheme reports the CFL number of the state its RK4 body steps:
+        # for the splitting schemes, the state diffused over dt or dt/2, whose
+        # speed also sets dt so that diffusion leaves the step above the limit
         for state in stepping_states(n, alpha, nu):
-            dt = 0.6 * state.grid.h / max_speed(state)
             for scheme, step in STEPPERS.items():
+                dt = 0.6 * state.grid.h / max_speed(state)
+                dt = 0.6 * state.grid.h / max_speed(transported_state(scheme, state, dt))
                 with pytest.raises(CflViolation) as err:
                     step(state, dt)
-                assert err.value.cfl == cfl_number(state, dt), scheme
+                assert err.value.cfl == cfl_number(transported_state(scheme, state, dt), dt), scheme
+                assert err.value.t == state.t
 
 
-def test_rk4_cfl_reads_the_velocity_it_steps_with():
-    # A user-built state with energy outside the dealias mask: rk4 checks
-    # the dealiased velocity its first stage transports with, the splitting
-    # steppers the state's own velocity before diffusion.
+def test_cfl_reads_the_velocity_each_scheme_steps_with():
+    # A user-built state with energy outside the dealias mask: every scheme
+    # checks the dealiased velocity its first transport stage moves q with.
     grid = TorusGrid(16)
-    state = SimState(grid, random_spectrum(grid, 8, seed=0), 0.3)
+    state = SimState(grid, random_spectrum(grid, 8, seed=0), 0.3, nu=0.05)
     dealiased = state.replace(q_hat=dealias(grid, state.q_hat))
     dt = 1.0 / (cfl_number(state, 1.0) + cfl_number(dealiased, 1.0))
     assert cfl_number(dealiased, dt) < CFL_LIMIT < cfl_number(state, dt)
-    assert np.array_equal(step_rk4(state, dt).q_hat, direct_rk4_update(state, dt))
-    with pytest.raises(CflViolation) as err:
-        step_lie_trotter(state, dt)
-    assert err.value.cfl == cfl_number(state, dt)
-    with pytest.raises(CflViolation) as err:
-        step_rk4(state, 2.0 * dt)
-    assert err.value.cfl == cfl_number(dealiased, 2.0 * dt) != cfl_number(state, 2.0 * dt)
+    for scheme, step in STEPPERS.items():
+        assert np.array_equal(step(state, dt).q_hat, direct_step(scheme, state, dt)), scheme
+        with pytest.raises(CflViolation) as err:
+            step(state, 2.0 * dt)
+        expected = cfl_number(transported_state(scheme, dealiased, 2.0 * dt), 2.0 * dt)
+        assert err.value.cfl == expected != cfl_number(state, 2.0 * dt), scheme
 
 
 class TestDiffusionSemigroup:

@@ -5,6 +5,7 @@ Examples are drawn deterministically (``derandomize=True``), so a run is
 reproducible, and capped so the suite stays fast.
 """
 
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,12 +13,12 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from euleralpha.checks import cross_form_residual, semigroup_error
 from euleralpha.dynamics import (
     SimState,
     compute_diagnostics,
-    max_speed,
     omega_from_q,
     rhs_columns,
     state_from_omega,
@@ -31,6 +32,7 @@ from euleralpha.experiments import (
     make_initial_condition,
 )
 from euleralpha.integrators import SCHEMES, STEPPERS, CflViolation, step_rk4
+from euleralpha.output import read_snapshot, write_snapshot
 from euleralpha.spectral import TorusGrid, dealias, l2_inner, l2_norm, stream_from_omega
 
 from conftest import (
@@ -40,6 +42,7 @@ from conftest import (
     direct_step,
     full_rhs,
     hermitian_defect,
+    max_speed,
     random_spectrum,
 )
 
@@ -120,11 +123,38 @@ def test_inviscid_rhs_conserves_energy_and_casimir(state):
 @PROPERTY
 @given(states(), st.floats(0.05, 0.45), st.sampled_from(SCHEMES))
 def test_steps_match_full_spectrum_oracle(state, cfl, scheme):
-    # a CFL number below the limit for the state's velocity and for the
-    # dealiased one, which rk4 checks instead
+    # a CFL number below the limit for the dealiased velocity, which every
+    # scheme checks; diffusion is a convolution with a probability measure,
+    # so the splitting schemes' diffused velocity is no faster
     dealiased = state.replace(q_hat=dealias(state.grid, state.q_hat))
-    dt = cfl * state.grid.h / max(max_speed(state), max_speed(dealiased))
+    dt = cfl * state.grid.h / max_speed(dealiased)
     assert np.array_equal(STEPPERS[scheme](state, dt).q_hat, direct_step(scheme, state, dt))
+
+
+# -- snapshots: every finite float64 comes back with the same bits
+
+# -0.0 and subnormals drawn often, besides any finite float
+finite_floats = st.one_of(
+    st.sampled_from((-0.0, 5e-324, -5e-324, 2.2250738585072009e-308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(arrays(np.float64, st.integers(1, 8).map(lambda n: (n, n)), elements=finite_floats),
+       finite_floats, finite_floats, finite_floats)
+def test_snapshot_round_trip_is_bit_exact(omega, alpha, nu, time):
+    # compares bytes: checks.snapshot_roundtrip_error compares values, and
+    # -0.0 == 0.0 as values
+    n = omega.shape[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.eaf"
+        write_snapshot(path, n, alpha, nu, time, omega)
+        snap = read_snapshot(path)
+    assert snap.n == n
+    assert snap.omega.tobytes() == omega.astype("<f8").tobytes()
+    header = struct.Struct("<3d")
+    assert header.pack(snap.alpha, snap.nu, snap.time) == header.pack(alpha, nu, time)
 
 
 # -- configuration: parse and validate only. A drawn n = 10**9 is a valid
