@@ -19,7 +19,6 @@ from .spectral import (  # noqa: F401
     l2_inner,
     l2_norm,
     laplacian,
-    stream_from_omega,
 )
 from .dynamics import (  # noqa: F401
     Diagnostics,
@@ -30,7 +29,6 @@ from .dynamics import (  # noqa: F401
     leray_project_hats,
     omega_from_q,
     state_from_omega,
-    velocity_hats_from_q,
 )
 from .integrators import (  # noqa: F401
     CflViolation,

@@ -31,7 +31,8 @@ machine precision.
 Nonlinear products are formed pointwise in physical space from dealiased
 spectral factors, and the product is dealiased again (2/3 rule). The state
 keeps the full spectrum of q; the RHS, velocity and diagnostics read its
-columns ky = 0..kmax (:attr:`SimState.columns`) through :func:`_half_fields`.
+columns ky = 0..kmax (:attr:`SimState.columns`) through :func:`_half_fields`,
+and ad*_u u is formed and returned on the same columns.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ import numpy as np
 
 from .spectral import (
     TorusGrid,
-    _ifft_real,
     columns_to_grid,
     ddx,
     ddy,
     dealias,
-    forward_transform,
     grid_to_columns,
     helmholtz,
     integral,
@@ -56,7 +55,6 @@ from .spectral import (
     l2_inner,
     laplacian,
     rhs_factors,
-    stream_from_omega,
 )
 
 _ENERGY_QUADRATURE_RTOL = 1e-11
@@ -121,22 +119,6 @@ def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray
     return inverse_helmholtz(grid, q_hat, alpha)
 
 
-def velocity_hats_from_q(
-    grid: TorusGrid, q_hat: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """
-    Spectral velocity from potential vorticity.
-
-    Chain: w = (1 - alpha^2 Lap)^{-1} q, psi from -Lap psi = w, then
-    u = (dy psi, -dx psi). The result is exactly divergence-free and, for q
-    without Nyquist modes (every dealiased state), satisfies curl u = w
-    mode by mode.
-    """
-    omega_hat = omega_from_q(grid, q_hat, alpha)
-    psi_hat = stream_from_omega(grid, omega_hat)
-    return ddy(grid, psi_hat), -ddx(grid, psi_hat)
-
-
 def _half_fields(grid: TorusGrid, q_half: np.ndarray, alpha: float) -> np.ndarray:
     """Stacked spectra of (dx q, dy q, u_x, u_y) on the columns ky = 0..w-1 of ``q_half``."""
     dx, dy = grid.DX, grid.DY[:, : q_half.shape[1]]
@@ -189,14 +171,17 @@ def leray_project_hats(
     grid: TorusGrid, wx_hat: np.ndarray, wy_hat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """
-    L2-orthogonal projection onto divergence-free fields.
+    L2-orthogonal projection onto divergence-free fields, on the full
+    spectrum or a leading block of columns.
 
     On the torus this is the mode-wise multiplier I - k k^T / k^2; the k = 0
     (mean) component is already divergence-free and passes through.
     """
-    kdotw = (grid.KX * wx_hat + grid.KY * wy_hat) / grid.K2_nonzero
-    px = wx_hat - grid.KX * kdotw
-    py = wy_hat - grid.KY * kdotw
+    w = wx_hat.shape[-1]
+    kx, ky = grid.KX[:, :w], grid.KY[:, :w]
+    kdotw = (kx * wx_hat + ky * wy_hat) / grid.K2_nonzero[:, :w]
+    px = wx_hat - kx * kdotw
+    py = wy_hat - ky * kdotw
     px[0, 0] = wx_hat[0, 0]
     py[0, 0] = wy_hat[0, 0]
     return px, py
@@ -204,36 +189,26 @@ def leray_project_hats(
 
 def ad_star_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     """
-    Spectral ad*_u u for the state's velocity.
+    Spectral ad*_u u for the state's velocity, on the retained columns ky = 0..kmax.
 
     Computes m = (u.grad) v - alpha^2 (grad u)^T . Lap u pointwise from
-    dealiased factors, dealiases m, then applies the Leray projection and
-    the inverse Helmholtz filter. The two operators are both Fourier
-    multipliers on the torus, so the application order is immaterial.
+    dealiased factors (one batched inverse transform), dealiases m, then
+    applies the Leray projection and the inverse Helmholtz filter. The two
+    operators are both Fourier multipliers on the torus, so the application
+    order is immaterial.
     """
-    grid = state.grid
-    alpha = state.alpha
-    q_hat = dealias(grid, state.q_hat)
-    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, alpha)
-    vx_hat = helmholtz(grid, ux_hat, alpha)
-    vy_hat = helmholtz(grid, uy_hat, alpha)
-
-    ux = _ifft_real(ux_hat)
-    uy = _ifft_real(uy_hat)
-    dux_dx = _ifft_real(ddx(grid, ux_hat))
-    dux_dy = _ifft_real(ddy(grid, ux_hat))
-    duy_dx = _ifft_real(ddx(grid, uy_hat))
-    duy_dy = _ifft_real(ddy(grid, uy_hat))
-    mx = ux * _ifft_real(ddx(grid, vx_hat)) + uy * _ifft_real(ddy(grid, vx_hat))
-    my = ux * _ifft_real(ddx(grid, vy_hat)) + uy * _ifft_real(ddy(grid, vy_hat))
+    grid, alpha = state.grid, state.alpha
+    u = velocity_columns(grid, dealias(grid, state.columns), alpha)
+    v = helmholtz(grid, u, alpha)
+    factors = [u, ddx(grid, u), ddy(grid, u), ddx(grid, v), ddy(grid, v)]
     if alpha != 0.0:
-        lap_ux = _ifft_real(laplacian(grid, ux_hat))
-        lap_uy = _ifft_real(laplacian(grid, uy_hat))
-        mx = mx - alpha**2 * (dux_dx * lap_ux + duy_dx * lap_uy)
-        my = my - alpha**2 * (dux_dy * lap_ux + duy_dy * lap_uy)
-
-    mx_hat = dealias(grid, forward_transform(mx))
-    my_hat = dealias(grid, forward_transform(my))
+        factors.append(laplacian(grid, u))
+    fields = columns_to_grid(np.stack(factors), grid.n)
+    (ux, uy), grad_u, grad_v = fields[0], fields[1:3], fields[3:5]  # grad_u[j, c] = d_j u_c
+    m = ux * grad_v[0] + uy * grad_v[1]
+    if alpha != 0.0:
+        m -= alpha**2 * (grad_u * fields[5]).sum(axis=1)
+    mx_hat, my_hat = dealias(grid, grid_to_columns(m, grid.kmax_dealias + 1))
     mx_hat, my_hat = leray_project_hats(grid, mx_hat, my_hat)
     return inverse_helmholtz(grid, mx_hat, alpha), inverse_helmholtz(grid, my_hat, alpha)
 

@@ -44,6 +44,9 @@ from .spectral import TorusGrid, _ifft_real, forward_transform, l2_norm
 
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
+#: largest accepted grid size: at n = 4096 one grid and one state already take 1.14 GiB
+MAX_N = 4096
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad key, value, or combination)."""
@@ -86,8 +89,8 @@ class RunConfig:
     dt_list: tuple = ()
 
     def validate(self) -> "RunConfig":
-        if self.n < 8 or self.n % 2 != 0:
-            raise ConfigError(f"n must be even and >= 8, got {self.n}")
+        if not (8 <= self.n <= MAX_N and self.n % 2 == 0):
+            raise ConfigError(f"n must be even, >= 8 and <= {MAX_N} (the size cap), got {self.n}")
         for name in ("alpha", "nu", "dt", "t_final", "ic_energy", "ic_amplitude"):
             v = getattr(self, name)
             if not np.isfinite(v):
@@ -251,13 +254,18 @@ def make_initial_condition(cfg: RunConfig, grid: Optional[TorusGrid] = None) -> 
     Initial SimState of :func:`make_omega0`'s vorticity, checked by :func:`_initial_state`;
     ConfigError if a random one's t = 0 energy misses ic_energy by 1e-12 (it underflowed).
     """
-    grid = grid or TorusGrid(cfg.n)
-    state = _initial_state(cfg, grid, make_omega0(cfg, grid))
+    return _checked_omega0(cfg, grid or TorusGrid(cfg.n))[1]
+
+
+def _checked_omega0(cfg: RunConfig, grid: TorusGrid) -> tuple[np.ndarray, SimState]:
+    """:func:`make_omega0`'s vorticity and the checked initial state it gives at cfg."""
+    omega_hat = make_omega0(cfg, grid)
+    state = _initial_state(cfg, grid, omega_hat)
     u = velocity_columns(grid, state.columns, cfg.alpha)
     if cfg.ic == "random_bandlimited" and not (
             abs(energy_hats(grid, *u, cfg.alpha) - cfg.ic_energy) <= 1e-12 * cfg.ic_energy):
         raise ConfigError(f"ic_energy={cfg.ic_energy} underflows at alpha={cfg.alpha}, n={grid.n}")
-    return state
+    return omega_hat, state
 
 
 def _initial_state(cfg: RunConfig, grid: TorusGrid, omega_hat: np.ndarray) -> SimState:
@@ -426,14 +434,13 @@ def _sweep(cfg: RunConfig, groups, reference, workers: int) -> list[SweepResult]
     gets its members' distances (at their own alpha, weighted by cfg.alpha), fit and summary CSV.
     """
     grid = TorusGrid(cfg.n)
-    make_initial_condition(cfg, grid)
+    omega_hat = _checked_omega0(cfg, grid)[0]
     runs = [*(m for group in groups for m in group[2]), reference]
     configs = [
         c.replace(out=None if cfg.out is None else str(Path(cfg.out) / dirname))
         for _, dirname, c in runs
     ]
-    omega_hat, labels = make_omega0(cfg, grid), [r[0] for r in runs]
-    *q_members, q_ref = _map_members(configs, grid, omega_hat, labels, workers)
+    *q_members, q_ref = _map_members(configs, grid, omega_hat, [r[0] for r in runs], workers)
     alpha_ref = reference[2].alpha
     results = []
     for parameter, values, members, filename in groups:

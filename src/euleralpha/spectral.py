@@ -13,8 +13,10 @@ are integers. Scalar fields are represented two ways:
 * spectral: complex ``(n, n)`` arrays of unnormalized forward-FFT
   coefficients in numpy's standard frequency ordering. States keep all of
   them, but a dealiased field is all in its columns ky = 0..kmax_dealias
-  (``rfft2`` layout): the Helmholtz multipliers and :func:`l2_inner` work on
-  them, and :func:`add_columns` adds such a block back to a full spectrum.
+  (``rfft2`` layout). Every multiplier below acts on the full spectrum or on
+  any leading block of columns ky = 0..w-1, shape ``(..., n, w)``, by slicing
+  the grid's table to w; :func:`l2_inner` reads the retained columns, and
+  :func:`add_columns` adds such a block back to a full spectrum.
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -36,9 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-#: tolerance of the stream-function solve's mean check (relative to the field magnitude)
-_MEAN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def add_columns(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Spectral Laplacian, multiplier ``-k**2``."""
-    return -grid.K2 * coeffs
+    return -grid.K2[:, : coeffs.shape[-1]] * coeffs
 
 
 def helmholtz(grid: TorusGrid, coeffs: np.ndarray, alpha: float) -> np.ndarray:
@@ -191,28 +190,12 @@ def ddx(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def ddy(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Spectral d/dy (Nyquist zeroed)."""
-    return grid.DY * coeffs
-
-
-def stream_from_omega(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
-    """
-    Solve ``-Lap psi = omega`` for the stream function.
-
-    psi_hat(k) = omega_hat(k) / k**2 for k != 0, with the k = 0 mode pinned
-    to zero (gauge). The input must be mean-zero; a nonzero mean makes the
-    inversion ill-posed and is rejected.
-    """
-    scale = np.abs(omega_hat).max()
-    if np.abs(omega_hat[0, 0]) > _MEAN_RTOL * (1.0 + scale):
-        raise ValueError("stream-function solve requires a mean-zero vorticity")
-    psi_hat = omega_hat / grid.K2_nonzero
-    psi_hat[0, 0] = 0.0
-    return psi_hat
+    return grid.DY[:, : coeffs.shape[-1]] * coeffs
 
 
 def dealias(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Zero all modes outside the 2/3-rule mask (idempotent)."""
-    return coeffs * grid.dealias_mask
+    return coeffs * grid.dealias_mask[:, : coeffs.shape[-1]]
 
 
 def integral(grid: TorusGrid, coeffs: np.ndarray) -> float:

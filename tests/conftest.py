@@ -9,11 +9,11 @@ from euleralpha.dynamics import (
     _half_fields,
     energy_hats,
     energy_quadrature,
+    leray_project_hats,
     omega_from_q,
     rhs_columns,
     state_from_omega,
     velocity_columns,
-    velocity_hats_from_q,
 )
 from euleralpha.integrators import diffusion_semigroup
 from euleralpha.particles import ParticleMap, jacobian_determinant
@@ -28,12 +28,17 @@ from euleralpha.spectral import (
     forward_transform,
     helmholtz,
     integral,
+    inverse_helmholtz,
     l2_inner,
+    laplacian,
     rhs_factors,
 )
 
 #: Hermitian-symmetry tolerance of ``inverse_transform`` (relative to the field magnitude)
 _HERMITIAN_RTOL = 1e-9
+
+#: tolerance of the stream-function solve's mean check (relative to the field magnitude)
+_MEAN_RTOL = 1e-9
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
@@ -59,6 +64,71 @@ def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
             f"coefficients are not Hermitian-symmetric (defect {defect:.3e})"
         )
     return np.fft.ifft2(coeffs).real
+
+
+def stream_from_omega(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
+    """
+    Solve ``-Lap psi = omega`` for the stream function.
+
+    psi_hat(k) = omega_hat(k) / k**2 for k != 0, with the k = 0 mode pinned
+    to zero (gauge). The input must be mean-zero; a nonzero mean makes the
+    inversion ill-posed and is rejected.
+    """
+    scale = np.abs(omega_hat).max()
+    if np.abs(omega_hat[0, 0]) > _MEAN_RTOL * (1.0 + scale):
+        raise ValueError("stream-function solve requires a mean-zero vorticity")
+    psi_hat = omega_hat / grid.K2_nonzero
+    psi_hat[0, 0] = 0.0
+    return psi_hat
+
+
+def velocity_hats_from_q(
+    grid: TorusGrid, q_hat: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Spectral velocity from potential vorticity.
+
+    Chain: w = (1 - alpha^2 Lap)^{-1} q, psi from -Lap psi = w, then
+    u = (dy psi, -dx psi). The result is exactly divergence-free and, for q
+    without Nyquist modes (every dealiased state), satisfies curl u = w
+    mode by mode.
+    """
+    omega_hat = omega_from_q(grid, q_hat, alpha)
+    psi_hat = stream_from_omega(grid, omega_hat)
+    return ddy(grid, psi_hat), -ddx(grid, psi_hat)
+
+
+def direct_ad_star_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Oracle for ``dynamics.ad_star_hats``: the full-spectrum body, the velocity
+    from :func:`velocity_hats_from_q`, ten or twelve complex inverse
+    transforms and two forward transforms.
+    """
+    grid = state.grid
+    alpha = state.alpha
+    q_hat = dealias(grid, state.q_hat)
+    ux_hat, uy_hat = velocity_hats_from_q(grid, q_hat, alpha)
+    vx_hat = helmholtz(grid, ux_hat, alpha)
+    vy_hat = helmholtz(grid, uy_hat, alpha)
+
+    ux = _ifft_real(ux_hat)
+    uy = _ifft_real(uy_hat)
+    dux_dx = _ifft_real(ddx(grid, ux_hat))
+    dux_dy = _ifft_real(ddy(grid, ux_hat))
+    duy_dx = _ifft_real(ddx(grid, uy_hat))
+    duy_dy = _ifft_real(ddy(grid, uy_hat))
+    mx = ux * _ifft_real(ddx(grid, vx_hat)) + uy * _ifft_real(ddy(grid, vx_hat))
+    my = ux * _ifft_real(ddx(grid, vy_hat)) + uy * _ifft_real(ddy(grid, vy_hat))
+    if alpha != 0.0:
+        lap_ux = _ifft_real(laplacian(grid, ux_hat))
+        lap_uy = _ifft_real(laplacian(grid, uy_hat))
+        mx = mx - alpha**2 * (dux_dx * lap_ux + duy_dx * lap_uy)
+        my = my - alpha**2 * (dux_dy * lap_ux + duy_dy * lap_uy)
+
+    mx_hat = dealias(grid, forward_transform(mx))
+    my_hat = dealias(grid, forward_transform(my))
+    mx_hat, my_hat = leray_project_hats(grid, mx_hat, my_hat)
+    return inverse_helmholtz(grid, mx_hat, alpha), inverse_helmholtz(grid, my_hat, alpha)
 
 
 def direct_rhs(state: SimState) -> np.ndarray:

@@ -128,6 +128,13 @@ class TestRunCommand:
             tmp_path, monkeypatch, capsys)
         assert err.startswith("configuration error: ic_")
 
+    def test_size_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # rejected by validation, before a grid of n^2 values is allocated
+        monkeypatch.setattr(experiments, "TorusGrid", None)
+        err = lone_config_error(["run", "--n", "1000000000", "--out", "o"],
+                                tmp_path, monkeypatch, capsys)
+        assert "size cap" in err
+
     def test_initial_row_near_overflow_is_finite(self, tmp_path, monkeypatch, capsys):
         # sum |q0|^2 is 4.5e307: the diagnostics scale each term before they sum
         monkeypatch.chdir(tmp_path)

@@ -25,7 +25,7 @@ from euleralpha.dynamics import (
     rhs_columns,
     rhs_columns_and_speed,
     state_from_omega,
-    velocity_hats_from_q,
+    velocity_columns,
 )
 from euleralpha.spectral import (
     TorusGrid,
@@ -35,10 +35,10 @@ from euleralpha.spectral import (
     inverse_helmholtz,
     l2_inner,
     l2_norm,
-    stream_from_omega,
 )
 
 from conftest import (
+    direct_ad_star_hats,
     direct_max_speed,
     direct_rhs,
     full_rhs,
@@ -49,6 +49,8 @@ from conftest import (
     random_band_hat,
     random_spectrum,
     random_state,
+    stream_from_omega,
+    velocity_hats_from_q,
 )
 
 
@@ -103,43 +105,52 @@ class TestOmegaFromQ:
 
 
 class TestVelocityFromQ:
+    """velocity_columns: the velocity of a block of q's columns ky = 0..w-1."""
+
+    @staticmethod
+    def physical(grid, u):
+        """Real grid samples of a stacked (u_x, u_y) column block."""
+        return np.fft.irfft2(u, s=(grid.n, grid.n))
+
     def test_zero_q_zero_velocity(self, grid16):
-        ux, uy = physical(*velocity_hats_from_q(grid16, np.zeros((16, 16), dtype=complex), 0.5))
+        u = velocity_columns(grid16, np.zeros((16, 6), dtype=complex), 0.5)
+        assert u.shape == (2, 16, 6)
+        ux, uy = self.physical(grid16, u)
         assert not ux.any() and not uy.any()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_single_shell_closed_form(self, grid32, alpha):
         # omega = cos(2x) -> psi = cos(2x)/4 -> u = (dy psi, -dx psi) = (0, sin(2x)/2)
         state = single_shell_state(grid32, alpha)
-        psi = stream_from_omega(grid32, omega_from_q(grid32, state.q_hat, alpha))
-        assert np.allclose(
-            np.fft.ifft2(psi).real, np.cos(2 * grid32.X) / 4.0, atol=1e-13
-        )
-        ux, uy = physical(*velocity_hats_from_q(grid32, state.q_hat, alpha))
+        ux, uy = self.physical(grid32, velocity_columns(grid32, state.columns, alpha))
         assert np.abs(ux).max() <= 1e-13
         assert np.abs(uy - np.sin(2 * grid32.X) / 2.0).max() <= 1e-13
 
     def test_curl_recovers_omega(self, grid32):
-        q = dealias(grid32, random_band_hat(grid32, 6, seed=3))
+        w = grid32.kmax_dealias + 1
+        q = dealias(grid32, random_band_hat(grid32, 6, seed=3))[:, :w]
         q[0, 0] = 0.0
-        ux_hat, uy_hat = velocity_hats_from_q(grid32, q, 0.25)
-        curl = 1j * grid32.KX * uy_hat - 1j * grid32.KY * ux_hat
+        ux_hat, uy_hat = velocity_columns(grid32, q, 0.25)
+        curl = 1j * grid32.KX[:, :w] * uy_hat - 1j * grid32.KY[:, :w] * ux_hat
         omega = omega_from_q(grid32, q, 0.25)
         assert np.abs(curl - omega).max() <= 1e-12 * np.abs(omega).max()
 
     def test_divergence_free(self, grid32):
-        q = dealias(grid32, random_band_hat(grid32, 6, seed=4))
+        w = grid32.kmax_dealias + 1
+        q = dealias(grid32, random_band_hat(grid32, 6, seed=4))[:, :w]
         q[0, 0] = 0.0
-        ux_hat, uy_hat = velocity_hats_from_q(grid32, q, 0.25)
-        div = 1j * grid32.KX * ux_hat + 1j * grid32.KY * uy_hat
-        assert np.abs(div).max() <= 1e-10 * peak_speed(*physical(ux_hat, uy_hat))
+        u = velocity_columns(grid32, q, 0.25)
+        div = 1j * grid32.KX[:, :w] * u[0] + 1j * grid32.KY[:, :w] * u[1]
+        assert np.abs(div).max() <= 1e-10 * peak_speed(*self.physical(grid32, u))
 
     def test_nyquist_row_gives_real_velocity(self, grid32):
-        # cos(x + 16y) puts energy on the unpaired ky = -16 row; the derivative
-        # zeroes that wavenumber, so both components stay real fields' coefficients
+        # cos(x + 16y) puts energy on the unpaired ky = 16 column of the half spectrum;
+        # the velocity of the columns expands to a real field's full spectrum
         q = forward_transform(np.cos(grid32.X + 16 * grid32.Y))
-        for coeffs in velocity_hats_from_q(grid32, q, 0.0):
-            assert hermitian_defect(coeffs) <= 1e-9 * (1 + np.abs(coeffs).max())
+        assert np.abs(q[:, 16]).max() > 0.0
+        for coeffs in velocity_columns(grid32, q[:, :17], 0.0):
+            full = np.concatenate([coeffs, np.conj(coeffs[-np.arange(32) % 32, 15:0:-1])], axis=1)
+            assert hermitian_defect(full) <= 1e-9 * (1 + np.abs(coeffs).max())
 
 
 class TestRhsVorticity:
@@ -307,8 +318,23 @@ class TestLerayProjection:
 class TestAdStar:
     def test_zero_state(self, grid16):
         state = SimState(grid=grid16, q_hat=np.zeros((16, 16), dtype=complex), alpha=0.5)
-        hx, hy = physical(*ad_star_hats(state))
+        hx, hy = ad_star_hats(state)
+        assert hx.shape == hy.shape == state.columns.shape
         assert not hx.any() and not hy.any()
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    def test_matches_full_spectrum_body(self, n, alpha):
+        grid = TorusGrid(n)
+        w = grid.kmax_dealias + 1
+        for seed in range(3):
+            # a full band with Nyquist modes, which only the dealiasing removes, and a dealiased state
+            full_band = SimState(grid, random_spectrum(grid, n // 2, seed), alpha)
+            dealiased = state_from_omega(grid, random_spectrum(grid, n // 2, seed + 10), alpha)
+            for state in (full_band, dealiased):
+                got = np.stack(ad_star_hats(state))
+                expected = np.stack(direct_ad_star_hats(state))
+                assert np.abs(got - expected[..., :w]).max() <= 1e-13 * np.abs(expected).max()
 
     def test_single_shell_curl_free_acceleration(self, grid32):
         # du/dt = -ad*_u u must carry zero curl-content, matching rhs = 0
@@ -339,7 +365,8 @@ class TestAdStar:
     def test_output_divergence_free(self, grid32):
         state = random_state(grid32, alpha=0.25, seed=25)
         hx, hy = ad_star_hats(state)
-        div = 1j * grid32.KX * hx + 1j * grid32.KY * hy
+        w = hx.shape[1]
+        div = 1j * grid32.KX[:, :w] * hx + 1j * grid32.KY[:, :w] * hy
         assert np.abs(div).max() <= 1e-10 * max(np.abs(hx).max(), np.abs(hy).max())
 
 

@@ -95,6 +95,14 @@ class TestConfigParsing:
             RunConfig(alpha=1e154).validate()
         assert RunConfig(alpha=1e150).validate().alpha == 1e150
 
+    def test_size_cap(self, monkeypatch):
+        # the cap is checked before any grid of the size is built
+        monkeypatch.setattr(experiments, "TorusGrid", None)
+        assert RunConfig(n=4096).validate().n == 4096
+        for n in (4098, 10**9):
+            with pytest.raises(ConfigError, match=f"<= 4096 \\(the size cap\\), got {n}"):
+                RunConfig(n=n).validate()
+
     def test_list_coercion(self):
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
         assert cfg.dt_list == (0.02, 0.01, 0.005)
@@ -485,6 +493,24 @@ class TestSplittingOrderStudy:
         assert pooled == splitting_order_study(cfg, dts, workers=1)
         members = [(s, dt) for dt in reversed(dts) for s in ("lie_trotter", "strang", "rk4")]
         assert [(c.scheme, c.dt) for c in inline_pool.submitted] == [("rk4", 0.005 / 16), *members]
+
+
+class TestSweepInitialCondition:
+    @pytest.mark.parametrize("sweep, values", [
+        (sweep_nu, (1e-3, 5e-4)),
+        (sweep_alpha, (0.2, 0.1)),
+        (splitting_order_study, (0.02, 0.01, 0.005)),
+    ], ids=["nu", "alpha", "splitting"])
+    def test_omega0_drawn_once(self, sweep, values, omega_energy_calls, monkeypatch):
+        draws = []
+        draw = experiments.make_omega0
+        monkeypatch.setattr(experiments, "make_omega0",
+                            lambda *args: draws.append(args) or draw(*args))
+        cfg = _sweep_cfg(n=16, ic="random_bandlimited", ic_band=3, alpha=0.25, nu=0.05,
+                         t_final=0.02)
+        sweep(cfg, values)
+        assert len(draws) == 1
+        assert len(omega_energy_calls) == 1
 
 
 def _fine_member_fails(cfg, omega_bytes):

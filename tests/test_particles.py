@@ -8,7 +8,7 @@ import pytest
 
 from euleralpha import particles
 from euleralpha.checks import affine_jacobian_deviation
-from euleralpha.dynamics import compute_diagnostics, velocity_hats_from_q
+from euleralpha.dynamics import compute_diagnostics
 from euleralpha.integrators import NumericsFailure, step_rk4
 from euleralpha.particles import (
     ParticleMap,
@@ -24,6 +24,7 @@ from conftest import (
     extrapolated_determinant,
     random_state,
     spectral_determinant,
+    velocity_hats_from_q,
 )
 
 EPS = 0.3

@@ -33,7 +33,7 @@ from euleralpha.experiments import (
 )
 from euleralpha.integrators import SCHEMES, STEPPERS, CflViolation, step_rk4
 from euleralpha.output import read_snapshot, write_snapshot
-from euleralpha.spectral import TorusGrid, dealias, l2_inner, l2_norm, stream_from_omega
+from euleralpha.spectral import TorusGrid, dealias, l2_inner, l2_norm
 
 from conftest import (
     direct_diagnostics,
@@ -44,6 +44,7 @@ from conftest import (
     hermitian_defect,
     max_speed,
     random_spectrum,
+    stream_from_omega,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -157,8 +158,9 @@ def test_snapshot_round_trip_is_bit_exact(omega, alpha, nu, time):
     assert header.pack(snap.alpha, snap.nu, snap.time) == header.pack(alpha, nu, time)
 
 
-# -- configuration: parse and validate only. A drawn n = 10**9 is a valid
-# RunConfig, so nothing here builds a grid, runs or opens a pool from one.
+# -- configuration: parse and validate only. A valid RunConfig may have
+# n = 4096, whose grid and state take 1.14 GiB, so nothing here builds a
+# grid, runs or opens a pool from one.
 
 CONFIG = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 

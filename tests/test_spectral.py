@@ -18,7 +18,7 @@ from euleralpha.spectral import (
     inverse_helmholtz,
     l2_norm,
     laplacian,
-    stream_from_omega,
+    rhs_factors,
 )
 
 from euleralpha.checks import helmholtz_pair_residuals, transform_residuals
@@ -149,25 +149,29 @@ class TestHelmholtzPair:
 
 
 class TestStreamFromOmega:
+    """The stream-function factor rhs_factors(grid, alpha)[0] on the half spectrum ky = 0..n/2."""
+
+    @staticmethod
+    def stream(grid, q_hat, alpha):
+        return q_hat[:, : grid.n // 2 + 1] * rhs_factors(grid, alpha)[0]
+
     def test_closed_form(self, grid16):
-        omega_hat = forward_transform(np.cos(2 * grid16.X))
-        psi = inverse_transform(stream_from_omega(grid16, omega_hat))
-        assert np.abs(psi - np.cos(2 * grid16.X) / 4.0).max() <= 1e-13
+        # q = (1 + 4 alpha^2) cos(2x) -> omega = cos(2x) -> psi = cos(2x)/4
+        for alpha in (0.0, 0.5):
+            q_hat = forward_transform((1.0 + 4.0 * alpha**2) * np.cos(2 * grid16.X))
+            psi = np.fft.irfft2(self.stream(grid16, q_hat, alpha), s=(16, 16))
+            assert np.abs(psi - np.cos(2 * grid16.X) / 4.0).max() <= 1e-13
 
     def test_zero_maps_to_zero(self, grid16):
-        out = stream_from_omega(grid16, np.zeros((16, 16), dtype=complex))
-        assert not out.any()
+        assert not self.stream(grid16, np.zeros((16, 16), dtype=complex), 0.5).any()
 
     def test_inverse_pair_with_laplacian(self, grid32):
-        omega_hat = random_band_hat(grid32, 9, seed=11)
-        psi_hat = stream_from_omega(grid32, omega_hat)
-        back = -laplacian(grid32, psi_hat)
-        assert np.abs(back - omega_hat).max() <= 1e-12 * np.abs(omega_hat).max()
-
-    def test_rejects_nonzero_mean(self, grid16):
-        omega_hat = forward_transform(np.cos(grid16.X) + 0.5)
-        with pytest.raises(ValueError, match="mean"):
-            stream_from_omega(grid16, omega_hat)
+        # -Lap psi = (1 - alpha^2 Lap)^-1 q, with the width-generic multipliers
+        q_hat = random_band_hat(grid32, 9, seed=11)[:, :17]
+        for alpha in (0.0, 0.7):
+            back = -laplacian(grid32, self.stream(grid32, q_hat, alpha))
+            omega = inverse_helmholtz(grid32, q_hat, alpha)
+            assert np.abs(back - omega).max() <= 1e-12 * np.abs(omega).max()
 
 
 class TestGuardedK2:
@@ -178,16 +182,38 @@ class TestGuardedK2:
         k2 = np.where(grid.K2 == 0.0, 1.0, grid.K2)
         assert np.array_equal(grid.K2_nonzero, k2)
         rng = np.random.default_rng(n)
-        w = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
-        w[0][0, 0] = 0.0
-        psi = w[0] / k2
-        psi[0, 0] = 0.0
-        assert np.array_equal(stream_from_omega(grid, w[0]), psi)
-        kdotw = (grid.KX * w[1] + grid.KY * w[2]) / k2
-        px, py = w[1] - grid.KX * kdotw, w[2] - grid.KY * kdotw
-        px[0, 0], py[0, 0] = w[1][0, 0], w[2][0, 0]
-        got = leray_project_hats(grid, w[1], w[2])
+        w = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+        kdotw = (grid.KX * w[0] + grid.KY * w[1]) / k2
+        px, py = w[0] - grid.KX * kdotw, w[1] - grid.KY * kdotw
+        px[0, 0], py[0, 0] = w[0][0, 0], w[1][0, 0]
+        got = leray_project_hats(grid, w[0], w[1])
         assert np.array_equal(got[0], px) and np.array_equal(got[1], py)
+
+
+class TestColumnBlocks:
+    """Every multiplier on a leading block of columns ky = 0..w-1 is the full result's block."""
+
+    OPERATORS = {
+        "ddx": ddx,
+        "ddy": ddy,
+        "laplacian": laplacian,
+        "dealias": dealias,
+        "helmholtz": lambda grid, f: helmholtz(grid, f, 0.3),
+        "inverse_helmholtz": lambda grid, f: inverse_helmholtz(grid, f, 0.3),
+        "leray_project_hats": lambda grid, f: np.stack(leray_project_hats(grid, *f)),
+    }
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_block_equals_full_result(self, n, name):
+        grid = TorusGrid(n)
+        op = self.OPERATORS[name]
+        rng = np.random.default_rng(n)
+        # two stacked fields: the leading axis is the pair leray_project_hats takes
+        f = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        full = op(grid, f)
+        for w in (grid.kmax_dealias + 1, n // 2 + 1, n):
+            assert np.array_equal(op(grid, f[..., :w]), full[..., :w])
 
 
 class TestDealias:
