@@ -10,10 +10,13 @@ Off-grid velocities come from the exact trigonometric interpolant of the
 spectral field, evaluated by direct Fourier summation over the unmasked
 (2/3-rule) modes: evolving states carry no energy outside the mask, so
 this is exact for them and spectrally accurate in general. Hermitian
-symmetry halves the sum (ky >= 0 only), and the exponentials come from
-powers of exp(ix) and exp(iy), two complex exponentials per point. One
-evaluation of M points costs about 0.45 M n^2 complex multiply-adds in a
-single matrix product, which is fine at desk scale.
+symmetry folds the sum into real arithmetic: with K = kmax + 1, each
+component is X^T R Y, a real (2K, 2K) coefficient table R between the
+cos/sin rows X of kx = 0..kmax and Y of ky = 0..kmax, which come from
+powers of exp(ix) and exp(iy), one cos and one sin per coordinate. One
+evaluation of M points costs about 0.9 M n^2 real multiply-adds, in
+blocks of a fixed number of markers, so its working memory does not grow
+with M.
 """
 
 from __future__ import annotations
@@ -49,6 +52,38 @@ class ParticleMap:
         return self.positions - self.ref_positions
 
 
+# markers per block of eval_velocity_at, whose buffers grow with it: 512,
+# 1024 and 2048 ran alike on the flow-map benchmark, 4096 1.3x slower
+_BLOCK = 1024
+
+
+def _coefficient_table(grid: TorusGrid, u_hats) -> np.ndarray:
+    """
+    The real ``(4K, 2K)`` table of :func:`eval_velocity_at`, K = kmax + 1.
+
+    Row ``(c, j)`` holds component c's coefficients of Y row j (cos ky y
+    for j < K, else sin ky y); column i is X row i (cos kx x for i < K,
+    else sin kx x). With a = Re c(±kx, ky), b = Im c(±kx, ky), a pair
+    ±kx folds into cos.cos a+ + a-, sin.cos b- - b+, cos.sin -(b+ + b-)
+    and sin.sin a- - a+; kx = 0 is counted once (its c- is zero).
+    """
+    kmax = grid.kmax_dealias
+    w = kmax + 1
+    k = np.arange(w)
+    weight = (np.where(k == 0, 1.0, 2.0) / grid.n**2)[:, None]
+    table = np.empty((2, 2 * w, 2 * w))
+    for c, coeffs in zip(table, u_hats):
+        # [ky, kx] blocks of c(kx, ky) and c(-kx, ky), ky > 0 doubled
+        plus = coeffs[k, :w].T * weight
+        minus = coeffs[-k % grid.n, :w].T * weight
+        minus[:, 0] = 0.0
+        c[:w, :w] = plus.real + minus.real
+        c[:w, w:] = minus.imag - plus.imag
+        c[w:, :w] = -(plus.imag + minus.imag)
+        c[w:, w:] = minus.real - plus.real
+    return table.reshape(4 * w, 2 * w)
+
+
 def eval_velocity_at(
     grid: TorusGrid, u_hats: tuple[np.ndarray, np.ndarray], points: np.ndarray
 ) -> np.ndarray:
@@ -63,31 +98,44 @@ def eval_velocity_at(
     of every real field are: the sum runs over ky = 0..kmax only, with
     weight 2 for ky > 0, and keeps its real part. A non-Hermitian input
     gives the real part of a different field, without an error.
+
+    The points are taken in blocks of ``_BLOCK``: per block, one real
+    matrix product of the coefficient table with the cos/sin rows of x,
+    then a sum against the rows of y, all in buffers made once per call.
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError("evaluation points must be finite")
-    kmax = grid.kmax_dealias
+    w = grid.kmax_dealias + 1
+    table = _coefficient_table(grid, u_hats)
     m = points.shape[0]
-    # series amplitudes of the retained kx = -kmax..kmax, ky = 0..kmax
-    # block, ky > 0 doubled; u_x's and u_y's side by side
-    kx = np.arange(-kmax, kmax + 1) % grid.n
-    ky = np.arange(kmax + 1)
-    weight = np.where(ky == 0, 1.0, 2.0) / grid.n**2
-    block = np.concatenate([c[np.ix_(kx, ky)] * weight for c in u_hats], axis=1)
-    # exp(i k x) for k = -kmax..kmax and exp(i k y) for k = 0..kmax, one
-    # row per k: powers of exp(ix) and exp(iy), negative k by conjugation
-    ex = np.empty((2 * kmax + 1, m), dtype=np.complex128)
-    ey = np.empty((kmax + 1, m), dtype=np.complex128)
-    for powers, coord in ((ex[kmax:], points[:, 0]), (ey, points[:, 1])):
-        powers[0] = 1.0
-        np.exp(1j * coord, out=powers[1])
-        for k in range(2, kmax + 1):
-            np.multiply(powers[k - 1], powers[1], out=powers[k])
-    np.conjugate(ex[:kmax:-1], out=ex[:kmax])
-    # one matrix product for both components, then the sum over ky
-    amp = (block.T @ ex).reshape(2, kmax + 1, m)
-    return np.ascontiguousarray(np.einsum("ckm,km->mc", amp, ey).real)
+    out = np.empty((m, 2))
+    # flat buffers, so that every block, the tail one too, views a
+    # contiguous prefix: exp(i k x) and exp(i k y) for k = 0..kmax, their
+    # cos rows over their sin rows (X over Y), the table times X, and the
+    # two components (an einsum straight into the (M, 2) result ran 4x slower)
+    b = min(_BLOCK, m)
+    powers = np.empty(2 * w * b, dtype=np.complex128)
+    trig = np.empty(4 * w * b)
+    amp = np.empty(4 * w * b)
+    comps = np.empty(2 * b)
+    for start in range(0, m, _BLOCK):
+        r = min(_BLOCK, m - start)
+        p = powers[: 2 * w * r].reshape(w, 2, r)
+        t = trig[: 4 * w * r].reshape(2, 2 * w, r)
+        a = amp[: 4 * w * r].reshape(4 * w, r)
+        u = comps[: 2 * r].reshape(2, r)
+        p[0] = 1.0
+        np.cos(points[start : start + r].T, out=p[1].real)
+        np.sin(points[start : start + r].T, out=p[1].imag)
+        for k in range(2, w):
+            np.multiply(p[k - 1], p[1], out=p[k])
+        np.copyto(t[:, :w], p.real.transpose(1, 0, 2))
+        np.copyto(t[:, w:], p.imag.transpose(1, 0, 2))
+        np.matmul(table, t[0], out=a)
+        np.einsum("cjm,jm->cm", a.reshape(2, 2 * w, r), t[1], out=u)
+        np.copyto(out[start : start + r], u.T)
+    return out
 
 
 def advect_particles(pm: ParticleMap, state: SimState, dt: float, stages: tuple) -> ParticleMap:

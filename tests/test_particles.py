@@ -3,12 +3,14 @@ Tests for the Lagrangian flow-map module: spectral off-grid evaluation,
 marker advection, and the volume-preservation diagnostic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from euleralpha import particles
 from euleralpha.checks import affine_jacobian_deviation
-from euleralpha.dynamics import compute_diagnostics
+from euleralpha.dynamics import compute_diagnostics, velocity_columns
 from euleralpha.integrators import NumericsFailure, step_rk4
 from euleralpha.particles import (
     ParticleMap,
@@ -28,6 +30,7 @@ from conftest import (
 )
 
 EPS = 0.3
+B = particles._BLOCK
 
 
 def _sheared(a):
@@ -125,6 +128,34 @@ class TestEvalVelocityAt:
         for pts in (lattice, unwrapped):
             vals = eval_velocity_at(grid, hats, pts)
             assert np.abs(vals - direct_velocity_sum(grid, hats, pts)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("m", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges(self, grid32, m):
+        # marker counts on either side of the block size and with a tail
+        # block of one marker, the production column input against the
+        # full-spectrum oracle
+        state = random_state(grid32, alpha=0.25, kmax=grid32.kmax_dealias, seed=m)
+        hats = velocity_hats_from_q(grid32, state.q_hat, 0.25)
+        scale = max(np.abs(np.fft.ifft2(h).real).max() for h in hats)
+        pts = np.random.default_rng(m).uniform(-50.0, 50.0, (m, 2))
+        vals = eval_velocity_at(grid32, velocity_columns(grid32, state.columns, 0.25), pts)
+        assert vals.shape == (m, 2) and vals.dtype == np.float64
+        assert np.abs(vals - direct_velocity_sum(grid32, hats, pts)).max(initial=0.0) <= 1e-13 * scale
+
+    def test_working_memory_does_not_grow_with_markers(self):
+        # 65536 markers at n = 64: the (M, 2) result is 1 MiB; a kernel
+        # that builds its mode tables for all markers at once needs 112 MiB
+        grid = TorusGrid(64)
+        state = random_state(grid, alpha=0.25, seed=3)
+        cols = velocity_columns(grid, state.columns, 0.25)
+        pts = np.random.default_rng(3).uniform(0.0, 2 * np.pi, (65536, 2))
+        tracemalloc.start()
+        try:
+            eval_velocity_at(grid, cols, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_corner_modes_closed_form(self, grid32):
         # cos(K x + K y) lives on (K, K) and (-K, -K); sin(K x - K y) on

@@ -22,6 +22,7 @@ from euleralpha.dynamics import (
     omega_from_q,
     rhs_columns,
     state_from_omega,
+    velocity_columns,
 )
 from euleralpha.experiments import (
     CONFIG_KEYS,
@@ -33,6 +34,7 @@ from euleralpha.experiments import (
 )
 from euleralpha.integrators import SCHEMES, STEPPERS, CflViolation, step_rk4
 from euleralpha.output import read_snapshot, write_snapshot
+from euleralpha.particles import _BLOCK, eval_velocity_at
 from euleralpha.spectral import TorusGrid, dealias, l2_inner, l2_norm
 
 from conftest import (
@@ -40,11 +42,13 @@ from conftest import (
     direct_l2_inner,
     direct_rhs,
     direct_step,
+    direct_velocity_sum,
     full_rhs,
     hermitian_defect,
     max_speed,
     random_spectrum,
     stream_from_omega,
+    velocity_hats_from_q,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -91,6 +95,22 @@ def test_column_diagnostics_match_full_spectrum(n, alpha, seed, dt):
     f, g = state.q_hat, other.q_hat
     scale = np.sqrt(direct_l2_inner(grid, f, f) * direct_l2_inner(grid, g, g))
     assert abs(l2_inner(grid, f, g) - direct_l2_inner(grid, f, g)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.integers(4, 32).map(lambda h: 2 * h),
+       st.integers(0, 3 * _BLOCK), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_off_grid_velocity_matches_full_spectrum_sum(n, m, alpha, seed):
+    # any marker count, so any number of whole blocks and any tail, at
+    # unwrapped points up to 50 from the origin, on a full-band state
+    grid = TorusGrid(n)
+    state = state_from_omega(grid, random_spectrum(grid, n // 2, seed), alpha)
+    hats = velocity_hats_from_q(grid, state.q_hat, alpha)
+    scale = max(np.abs(np.fft.ifft2(h).real).max() for h in hats)
+    pts = np.random.default_rng(seed).uniform(-50.0, 50.0, (m, 2))
+    vals = eval_velocity_at(grid, velocity_columns(grid, state.columns, alpha), pts)
+    assert vals.shape == (m, 2) and vals.dtype == np.float64
+    assert np.abs(vals - direct_velocity_sum(grid, hats, pts)).max(initial=0.0) <= 1e-13 * scale
 
 
 @PROPERTY
