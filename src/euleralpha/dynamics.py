@@ -29,10 +29,12 @@ curl((1 - alpha^2 Lap)(-ad*_u u)) = -u . grad q, which
 machine precision.
 
 Nonlinear products are formed pointwise in physical space from dealiased
-spectral factors, and the product is dealiased again (2/3 rule). The state
-keeps the full spectrum of q; the RHS, velocity and diagnostics read its
-columns ky = 0..kmax (:attr:`SimState.columns`) through :func:`_half_fields`,
-and ad*_u u is formed and returned on the same columns.
+spectral factors, and the product is dealiased again (2/3 rule). q is a
+real field, so its spectrum is fixed by the columns ky = 0..kmax that
+dealiasing keeps; the state stores only that block,
+:attr:`SimState.columns`. The RHS, velocity and diagnostics read it through
+:func:`_half_fields`, and ad*_u u is formed and returned on the same
+columns. The full spectrum, :attr:`SimState.q_hat`, is built on demand.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ class SimState:
     """
     Full dynamical state: spectral potential vorticity plus parameters.
 
-    ``q_hat`` is kept mean-zero, Hermitian-symmetric, and supported inside
-    the dealias mask by every operation that produces states.
+    ``columns`` is the ``(n, kmax + 1)`` block of columns ky = 0..kmax of the
+    spectrum of q, kept mean-zero and inside the dealias mask by every
+    operation that produces states.
     """
 
     grid: TorusGrid
-    q_hat: np.ndarray
+    columns: np.ndarray
     alpha: float
     nu: float = 0.0
     t: float = 0.0
@@ -80,16 +83,22 @@ class SimState:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (np.isfinite(self.nu) and self.nu >= 0.0):
             raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
-        if self.q_hat.shape != (self.grid.n, self.grid.n):
-            raise ValueError("q_hat shape does not match the grid")
+        shape = (self.grid.n, self.grid.kmax_dealias + 1)
+        if self.columns.shape != shape:
+            raise ValueError(f"expected the retained columns, shape {shape}, "
+                             f"got {self.columns.shape}")
 
     def replace(self, **changes) -> "SimState":
         return dataclasses.replace(self, **changes)
 
     @property
-    def columns(self) -> np.ndarray:
-        """The columns ky = 0..kmax of q_hat, which hold all of a dealiased state (a view)."""
-        return self.q_hat[:, : self.grid.kmax_dealias + 1]
+    def q_hat(self) -> np.ndarray:
+        """The full ``(n, n)`` spectrum: the block, zeros, and the block's conjugate at -ky."""
+        n, w = self.columns.shape
+        out = np.zeros((n, n), dtype=complex)
+        out[:, :w] = self.columns
+        out[:, n - w + 1 :] = np.conjugate(self.columns[-np.arange(n) % n, w - 1 : 0 : -1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,10 +117,10 @@ class Diagnostics:
 def state_from_omega(
     grid: TorusGrid, omega_hat: np.ndarray, alpha: float, nu: float = 0.0, t: float = 0.0
 ) -> SimState:
-    """Build a state from spectral vorticity: q = (1 - alpha^2 Lap) w, dealiased."""
-    q_hat = dealias(grid, helmholtz(grid, omega_hat, alpha))
-    q_hat[0, 0] = 0.0
-    return SimState(grid=grid, q_hat=q_hat, alpha=alpha, nu=nu, t=t)
+    """Build a state from spectral vorticity: q = (1 - alpha^2 Lap) w on its columns, dealiased."""
+    q = dealias(grid, helmholtz(grid, omega_hat[:, : grid.kmax_dealias + 1], alpha))
+    q[0, 0] = 0.0
+    return SimState(grid=grid, columns=q, alpha=alpha, nu=nu, t=t)
 
 
 def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray:
@@ -178,8 +187,9 @@ def leray_project_hats(
     (mean) component is already divergence-free and passes through.
     """
     w = wx_hat.shape[-1]
-    kx, ky = grid.KX[:, :w], grid.KY[:, :w]
-    kdotw = (kx * wx_hat + ky * wy_hat) / grid.K2_nonzero[:, :w]
+    kx, ky = grid.kx[:, None], grid.kx[None, :w]
+    k2 = grid.K2[:, :w]
+    kdotw = (kx * wx_hat + ky * wy_hat) / np.where(k2 == 0.0, 1.0, k2)
     px = wx_hat - kx * kdotw
     py = wy_hat - ky * kdotw
     px[0, 0] = wx_hat[0, 0]

@@ -16,9 +16,9 @@ a contraction for every nonzero mode. The splitting order within a
 Lie-Trotter step is fixed as diffusion first (both orders are first-order
 accurate; one had to be picked).
 
-The RK4 stages work on the retained columns ky = 0..kmax of q_hat, where
-every dealiased field lives (see :func:`dynamics.rhs_columns`); the
-increment enters the full spectrum together with its conjugate reflection.
+The steppers work on the state's retained columns ky = 0..kmax, which
+hold all of q (see :func:`dynamics.rhs_columns`): the RK4 stages, the
+update and the diffusion factor all act on that block.
 
 Every step re-pins the mean of q to zero and advances t. All three run one
 RK4 body, :func:`_rk4` (the splitting steppers on the diffused state, nu = 0),
@@ -35,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import SimState, rhs_columns, rhs_columns_and_speed
-from .spectral import add_columns
 
 SCHEMES = ("rk4", "lie_trotter", "strang")
 
@@ -72,7 +71,7 @@ class NumericsFailure(RuntimeError):
 
 def _rk4(state: SimState, dt: float) -> np.ndarray:
     """
-    q_hat after one classical RK4 step of dq/dt = rhs_columns, mean pinned to 0;
+    The columns after one classical RK4 step of dq/dt = rhs_columns, mean pinned to 0;
     :class:`CflViolation`, before the second stage, if the first stage's CFL number is too large.
     """
     q = state.columns
@@ -83,41 +82,41 @@ def _rk4(state: SimState, dt: float) -> np.ndarray:
     k2 = rhs_columns(state, q + 0.5 * dt * k1)
     k3 = rhs_columns(state, q + 0.5 * dt * k2)
     k4 = rhs_columns(state, q + dt * k3)
-    q_new = add_columns(state.q_hat, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     q_new[0, 0] = 0.0
     return q_new
 
 
 def step_rk4(state: SimState, dt: float) -> SimState:
     """One classical RK4 step of the full vorticity equation."""
-    return state.replace(q_hat=_rk4(state, dt), t=state.t + dt)
+    return state.replace(columns=_rk4(state, dt), t=state.t + dt)
 
 
 def diffusion_semigroup(state: SimState, dt: float) -> SimState:
     """
     Exact flow of dq/dt = nu * Lap (1 - alpha^2 Lap)^{-1} q over dt.
 
-    Multiplies q_hat(k) by exp(-nu dt k^2 / (1 + alpha^2 k^2)); the
-    identity for nu = 0. Satisfies the semigroup law F_t F_s = F_{t+s}
+    Multiplies each retained column's q_hat(k) by exp(-nu dt k^2 / (1 + alpha^2 k^2));
+    the identity for nu = 0. Satisfies the semigroup law F_t F_s = F_{t+s}
     to roundoff by construction.
     """
     if state.nu == 0.0 or dt == 0.0:
-        return state.replace(q_hat=state.q_hat.copy(), t=state.t + dt)
-    grid = state.grid
-    decay = np.exp(-state.nu * dt * grid.K2 / (1.0 + state.alpha**2 * grid.K2))
-    return state.replace(q_hat=state.q_hat * decay, t=state.t + dt)
+        return state.replace(columns=state.columns.copy(), t=state.t + dt)
+    k2 = state.grid.K2[:, : state.columns.shape[1]]
+    decay = np.exp(-state.nu * dt * k2 / (1.0 + state.alpha**2 * k2))
+    return state.replace(columns=state.columns * decay, t=state.t + dt)
 
 
 def step_lie_trotter(state: SimState, dt: float) -> SimState:
     """Diffusion semigroup over dt, then one inviscid transport step over dt."""
-    q_new = _rk4(state.replace(q_hat=diffusion_semigroup(state, dt).q_hat, nu=0.0), dt)
-    return state.replace(q_hat=q_new, t=state.t + dt)
+    q_new = _rk4(state.replace(columns=diffusion_semigroup(state, dt).columns, nu=0.0), dt)
+    return state.replace(columns=q_new, t=state.t + dt)
 
 
 def step_strang(state: SimState, dt: float) -> SimState:
     """Half-step diffusion, inviscid transport over dt, half-step diffusion."""
-    mid = _rk4(state.replace(q_hat=diffusion_semigroup(state, 0.5 * dt).q_hat, nu=0.0), dt)
-    out = diffusion_semigroup(state.replace(q_hat=mid), 0.5 * dt)
+    mid = _rk4(state.replace(columns=diffusion_semigroup(state, 0.5 * dt).columns, nu=0.0), dt)
+    out = diffusion_semigroup(state.replace(columns=mid), 0.5 * dt)
     return out.replace(t=state.t + dt)
 
 
@@ -156,7 +155,7 @@ def _march(state: SimState, t_final: float, dt: float, step: Callable):
         # leave the end time (and sweep comparability) off by roundoff
         t_exact = t0 + k * dt
         state = state.replace(t=t_final if t_final - t_exact <= atol else t_exact)
-        if not np.all(np.isfinite(state.q_hat)):
+        if not np.all(np.isfinite(state.columns)):
             raise NumericsFailure(state.t)
         yield k, state
 

@@ -175,7 +175,7 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
         full = step_rk4(half, 0.5 * step_dt)
         # a non-finite value at t or t + dt/2 carries through to t + dt; stop
         # before any marker is moved by it
-        if not np.all(np.isfinite(full.q_hat)):
+        if not np.all(np.isfinite(full.columns)):
             raise NumericsFailure(full.t)
         stages = tuple(velocity_columns(x.grid, x.columns, x.alpha) for x in (s, half, full))
         pm = advect_particles(pm, s, step_dt, stages)

@@ -11,12 +11,12 @@ are integers. Scalar fields are represented two ways:
 
 * physical: real ``(n, n)`` arrays indexed ``[ix, iy]`` (x is axis 0),
 * spectral: complex ``(n, n)`` arrays of unnormalized forward-FFT
-  coefficients in numpy's standard frequency ordering. States keep all of
-  them, but a dealiased field is all in its columns ky = 0..kmax_dealias
-  (``rfft2`` layout). Every multiplier below acts on the full spectrum or on
-  any leading block of columns ky = 0..w-1, shape ``(..., n, w)``, by slicing
-  the grid's table to w; :func:`l2_inner` reads the retained columns, and
-  :func:`add_columns` adds such a block back to a full spectrum.
+  coefficients in numpy's standard frequency ordering, or a leading block
+  of their columns ky = 0..w-1 (``rfft2`` layout). A real dealiased field is
+  all in its columns ky = 0..kmax_dealias, and states keep only those. Every
+  multiplier below acts on the full spectrum or on any such block, shape
+  ``(..., n, w)``, by slicing the grid's table to w; :func:`l2_inner` reads
+  the retained columns.
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -52,12 +52,12 @@ class TorusGrid:
 
     Attributes
     ----------
-    X, Y : ndarray, shape (n, n)
-        Collocation coordinates ``2pi * i / n`` as a meshgrid, ``indexing="ij"``.
+    x : ndarray, shape (n,)
+        Collocation coordinates ``2pi * i / n``, per axis.
     kx : ndarray, shape (n,)
         Integer wavenumbers in FFT order (0, 1, ..., -n/2, ..., -1), per axis.
-    KX, KY, K2, K2_nonzero : ndarray, shape (n, n)
-        Wavenumber meshes, squared magnitude ``kx**2 + ky**2``, and K2 with 1 at k = 0.
+    K2 : ndarray, shape (n, n)
+        Squared magnitude ``kx**2 + ky**2``.
     DX, DY : ndarray, shapes (n, 1) and (1, n), complex
         First-derivative multipliers ``i*k``, Nyquist mode zeroed; they broadcast.
     dealias_mask : ndarray of bool, shape (n, n)
@@ -69,13 +69,9 @@ class TorusGrid:
     """
 
     n: int
-    X: np.ndarray = field(init=False, repr=False)
-    Y: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False, repr=False)
     kx: np.ndarray = field(init=False, repr=False)
-    KX: np.ndarray = field(init=False, repr=False)
-    KY: np.ndarray = field(init=False, repr=False)
     K2: np.ndarray = field(init=False, repr=False)
-    K2_nonzero: np.ndarray = field(init=False, repr=False)
     DX: np.ndarray = field(init=False, repr=False)
     DY: np.ndarray = field(init=False, repr=False)
     dealias_mask: np.ndarray = field(init=False, repr=False)
@@ -88,24 +84,18 @@ class TorusGrid:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")
         n = self.n
         s = object.__setattr__
-        x = 2.0 * np.pi * np.arange(n) / n
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        s(self, "X", X)
-        s(self, "Y", Y)
+        s(self, "x", 2.0 * np.pi * np.arange(n) / n)
         k1 = np.fft.fftfreq(n, 1.0 / n)  # integer-valued floats
         s(self, "kx", k1)
-        KX, KY = np.meshgrid(k1, k1, indexing="ij")
-        s(self, "KX", KX)
-        s(self, "KY", KY)
-        s(self, "K2", KX**2 + KY**2)
-        s(self, "K2_nonzero", np.where(self.K2 == 0.0, 1.0, self.K2))
+        s(self, "K2", k1[:, None] ** 2 + k1[None, :] ** 2)
         # zero the (unpaired) Nyquist wavenumber in first derivatives
         kd = k1.copy()
         kd[n // 2] = 0.0
         s(self, "DX", 1j * kd[:, None])
         s(self, "DY", 1j * kd[None, :])
         cut = n / 3.0
-        s(self, "dealias_mask", (np.abs(KX) < cut) & (np.abs(KY) < cut))
+        kept = np.abs(k1) < cut
+        s(self, "dealias_mask", kept[:, None] & kept[None, :])
         s(self, "kmax_dealias", int(np.ceil(cut)) - 1)
         s(self, "h", 2.0 * np.pi / n)
         s(self, "_rhs_factors", [None, np.empty((2, n, n // 2 + 1))])
@@ -117,7 +107,7 @@ def forward_transform(values: np.ndarray) -> np.ndarray:
 
 
 def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
-    # hot-path inverse for internally constructed (Hermitian) data
+    # inverse of a full Hermitian spectrum, for the snapshots and the checks
     return np.fft.ifft2(coeffs).real
 
 
@@ -148,24 +138,10 @@ def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:
     if cached_alpha != alpha:
         k2 = grid.K2[:, : grid.n // 2 + 1]
         smooth = 1.0 + alpha**2 * k2
-        np.divide(1.0, smooth * grid.K2_nonzero[:, : k2.shape[1]], out=factors[0])
+        np.divide(1.0, smooth * np.where(k2 == 0.0, 1.0, k2), out=factors[0])
         np.divide(k2, smooth, out=factors[1])
         grid._rhs_factors[0] = alpha
     return factors
-
-
-def add_columns(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """
-    ``coeffs`` plus the real field's spectrum whose columns ky = 0..w-1 are
-    ``block`` (shape ``(n, w)``, w <= n/2): the block is added to those
-    columns and its conjugate reflection conj(block[-kx, ky]) to the columns
-    -ky; every other column of ``coeffs`` is kept. Returns a new array.
-    """
-    n, w = block.shape
-    out = coeffs.copy()
-    out[:, :w] += block
-    out[:, n - w + 1 :] += np.conjugate(block[-np.arange(n) % n, w - 1 : 0 : -1])
-    return out
 
 
 def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from euleralpha.particles import ParticleMap, jacobian_determinant
 from euleralpha.spectral import (
     TorusGrid,
     _ifft_real,
-    add_columns,
     columns_to_grid,
     ddx,
     ddy,
@@ -39,6 +38,11 @@ _HERMITIAN_RTOL = 1e-9
 
 #: tolerance of the stream-function solve's mean check (relative to the field magnitude)
 _MEAN_RTOL = 1e-9
+
+
+def mesh(grid: TorusGrid) -> list[np.ndarray]:
+    """The collocation coordinates (X, Y) as an ``indexing="ij"`` meshgrid."""
+    return np.meshgrid(grid.x, grid.x, indexing="ij")
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
@@ -77,7 +81,7 @@ def stream_from_omega(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
     scale = np.abs(omega_hat).max()
     if np.abs(omega_hat[0, 0]) > _MEAN_RTOL * (1.0 + scale):
         raise ValueError("stream-function solve requires a mean-zero vorticity")
-    psi_hat = omega_hat / grid.K2_nonzero
+    psi_hat = omega_hat / np.where(grid.K2 == 0.0, 1.0, grid.K2)
     psi_hat[0, 0] = 0.0
     return psi_hat
 
@@ -155,12 +159,11 @@ def direct_rhs(state: SimState) -> np.ndarray:
 
 def full_rhs(state: SimState) -> np.ndarray:
     """
-    dq_hat/dt on the full spectrum of a Hermitian q_hat: ``rhs_columns`` of
-    its retained columns, the conjugate reflection filling ky < 0, bit for
-    bit the right-hand side the steppers' column stages use.
+    dq_hat/dt on the full spectrum: ``rhs_columns`` of the state's columns,
+    expanded as ``SimState.q_hat`` expands a state, bit for bit the
+    right-hand side the steppers' column stages use.
     """
-    grid = state.grid
-    return add_columns(np.zeros((grid.n, grid.n), dtype=complex), rhs_columns(state, state.columns))
+    return state.replace(columns=rhs_columns(state, state.columns)).q_hat
 
 
 def max_speed(state: SimState) -> float:
@@ -268,13 +271,19 @@ def nd_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
 def direct_rk4_update(state: SimState, dt: float) -> np.ndarray:
     """
     Oracle for the steppers' RK4 update: the full-spectrum stage body, four
-    :func:`full_rhs` calls on whole (n, n) stage states.
+    :func:`full_rhs` calls on whole (n, n) stages, each stage state holding
+    its stage's retained columns. Returns the full (n, n) q_hat.
     """
+    q_hat = state.q_hat
+
+    def stage(q, t):
+        return full_rhs(state.replace(columns=q[:, : state.columns.shape[1]], t=t))
+
     k1 = full_rhs(state)
-    k2 = full_rhs(state.replace(q_hat=state.q_hat + 0.5 * dt * k1, t=state.t + 0.5 * dt))
-    k3 = full_rhs(state.replace(q_hat=state.q_hat + 0.5 * dt * k2, t=state.t + 0.5 * dt))
-    k4 = full_rhs(state.replace(q_hat=state.q_hat + dt * k3, t=state.t + dt))
-    q_new = state.q_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = stage(q_hat + 0.5 * dt * k1, state.t + 0.5 * dt)
+    k3 = stage(q_hat + 0.5 * dt * k2, state.t + 0.5 * dt)
+    k4 = stage(q_hat + dt * k3, state.t + dt)
+    q_new = q_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     q_new[0, 0] = 0.0
     return q_new
 
@@ -288,28 +297,31 @@ def transported_state(scheme: str, state: SimState, dt: float) -> SimState:
     if scheme == "rk4":
         return state
     first = dt if scheme == "lie_trotter" else 0.5 * dt
-    return state.replace(q_hat=diffusion_semigroup(state, first).q_hat, nu=0.0)
+    return state.replace(columns=diffusion_semigroup(state, first).columns, nu=0.0)
 
 
 def direct_step(scheme: str, state: SimState, dt: float) -> np.ndarray:
-    """q_hat after one ``scheme`` step built on :func:`direct_rk4_update` (no CFL check)."""
+    """The full q_hat after one ``scheme`` step of :func:`direct_rk4_update` (no CFL check)."""
     q_new = direct_rk4_update(transported_state(scheme, state, dt), dt)
     if scheme != "strang":
         return q_new
-    return diffusion_semigroup(state.replace(q_hat=q_new), 0.5 * dt).q_hat
+    mid = state.replace(columns=q_new[:, : state.columns.shape[1]])
+    return diffusion_semigroup(mid, 0.5 * dt).q_hat
 
 
 def random_spectrum(grid: TorusGrid, band: int, seed: int) -> np.ndarray:
     """
-    Mean-zero coefficients of a real white-noise field, kept for
-    |kx|, |ky| <= band. A band of n/2 keeps the full spectrum, Nyquist
-    modes included, so the result need not be dealiased.
+    The retained columns ky = 0..kmax of the mean-zero coefficients of a real
+    white-noise field, kept for |kx|, |ky| <= band: the block a state holds.
+    A band of n/2 keeps every kx row, the Nyquist row included, so the result
+    need not be dealiased.
     """
     rng = np.random.default_rng(seed)
     coeffs = np.fft.fft2(rng.standard_normal((grid.n, grid.n)))
-    coeffs[(np.abs(grid.KX) > band) | (np.abs(grid.KY) > band)] = 0.0
+    outside = np.abs(grid.kx) > band
+    coeffs[outside[:, None] | outside[None, :]] = 0.0
     coeffs[0, 0] = 0.0
-    return coeffs
+    return coeffs[:, : grid.kmax_dealias + 1]
 
 
 @pytest.fixture(scope="session")
@@ -334,12 +346,13 @@ def random_band_hat(grid: TorusGrid, kmax: int, seed: int, amplitude: float = 1.
     symmetrization route, so it doubles as a cross-check of it).
     """
     rng = np.random.default_rng(seed)
+    X, Y = mesh(grid)
     f = np.zeros((grid.n, grid.n))
     for kx in range(-kmax, kmax + 1):
         for ky in range(-kmax, kmax + 1):
             if (kx, ky) == (0, 0):
                 continue
-            phase = kx * grid.X + ky * grid.Y
+            phase = kx * X + ky * Y
             f += rng.standard_normal() * np.cos(phase) + rng.standard_normal() * np.sin(phase)
     f *= amplitude / np.abs(f).max()
     return np.fft.fft2(f)

@@ -164,9 +164,9 @@ def test_criterion_08_time_reversal():
     started = time.perf_counter()
     state = make_initial_condition(BASE_FLOW)
     fwd = integrate(state, 2.0, 1e-3)
-    rev = fwd.replace(q_hat=-fwd.q_hat, t=0.0)
+    rev = fwd.replace(columns=-fwd.columns, t=0.0)
     back = integrate(rev, 2.0, 1e-3)
-    err = l2_norm(state.grid, -back.q_hat - state.q_hat) / l2_norm(state.grid, state.q_hat)
+    err = l2_norm(state.grid, -back.columns - state.columns) / l2_norm(state.grid, state.columns)
     elapsed = time.perf_counter() - started
     ok = err <= 1e-8 and elapsed < 120
     line = _report(8, "time reversal", ok,

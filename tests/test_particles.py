@@ -24,6 +24,7 @@ from euleralpha.spectral import TorusGrid, forward_transform
 from conftest import (
     direct_velocity_sum,
     extrapolated_determinant,
+    mesh,
     random_state,
     spectral_determinant,
     velocity_hats_from_q,
@@ -59,7 +60,7 @@ def steady_shear_state(grid, alpha=0.5):
     """omega = cos(2x): steady flow with u = (0, sin(2x)/2)."""
     from euleralpha.dynamics import state_from_omega
 
-    return state_from_omega(grid, forward_transform(np.cos(2 * grid.X)), alpha)
+    return state_from_omega(grid, forward_transform(np.cos(2 * mesh(grid)[0])), alpha)
 
 
 def steady_stages(state):
@@ -85,7 +86,7 @@ class TestEvalVelocityAt:
     def test_collocates_at_grid_points(self, grid32):
         state = random_state(grid32, alpha=0.25, seed=1)
         hats = velocity_hats_from_q(grid32, state.q_hat, 0.25)
-        pts = np.column_stack([grid32.X.ravel(), grid32.Y.ravel()])
+        pts = np.column_stack([c.ravel() for c in mesh(grid32)])
         vals = eval_velocity_at(grid32, hats, pts)
         ux = np.fft.ifft2(hats[0]).real.ravel()
         uy = np.fft.ifft2(hats[1]).real.ravel()
@@ -95,7 +96,7 @@ class TestEvalVelocityAt:
 
     def test_closed_form_off_grid(self, grid32):
         # field (0, -sin(2x)/2) evaluated at x = pi/4 gives (0, -1/2)
-        uy = -np.sin(2 * grid32.X) / 2.0
+        uy = -np.sin(2 * mesh(grid32)[0]) / 2.0
         hats = (np.zeros((32, 32), dtype=complex), forward_transform(uy))
         vals = eval_velocity_at(grid32, hats, np.array([[np.pi / 4, 1.2345]]))
         assert abs(vals[0, 0]) <= 1e-14
@@ -123,7 +124,7 @@ class TestEvalVelocityAt:
         state = random_state(grid, alpha=alpha, kmax=grid.kmax_dealias, seed=n)
         hats = velocity_hats_from_q(grid, state.q_hat, alpha)
         scale = max(np.abs(np.fft.ifft2(h).real).max() for h in hats)
-        lattice = np.column_stack([grid.X.ravel(), grid.Y.ravel()])
+        lattice = np.column_stack([c.ravel() for c in mesh(grid)])
         unwrapped = np.random.default_rng(n).uniform(-50.0, 50.0, (2000, 2))
         for pts in (lattice, unwrapped):
             vals = eval_velocity_at(grid, hats, pts)
@@ -162,10 +163,8 @@ class TestEvalVelocityAt:
         # (-K, K) and (K, -K): the retained ky = K row at both kx ends,
         # where the ky > 0 weight meets the conjugated negative kx
         K = grid32.kmax_dealias
-        hats = (
-            forward_transform(np.cos(K * grid32.X + K * grid32.Y)),
-            forward_transform(np.sin(K * grid32.X - K * grid32.Y)),
-        )
+        X, Y = mesh(grid32)
+        hats = (forward_transform(np.cos(K * X + K * Y)), forward_transform(np.sin(K * X - K * Y)))
         # within a period of the first on either side, so that rounding of
         # the closed form's phase K x + K y stays far below the bound
         pts = np.random.default_rng(5).uniform(-2 * np.pi, 4 * np.pi, (400, 2))
@@ -312,7 +311,7 @@ class TestCoupledIntegration:
     def test_positions_unwrapped_winding_retained(self, grid32):
         # a strong steady shear pushes markers beyond 2pi without wrapping
         state = steady_shear_state(grid32, alpha=0.0)
-        amplified = state.replace(q_hat=state.q_hat * 30.0)
+        amplified = state.replace(columns=state.columns * 30.0)
         pm = ParticleMap(
             m=3,
             positions=np.array([[np.pi / 4, 5.0], [np.pi / 4, 6.0], [np.pi / 4, 0.0]]),
@@ -353,7 +352,7 @@ class TestCoupledIntegration:
         def poisoning_step(state, step_dt):
             out = step_rk4(state, step_dt)
             if nan_at is not None and np.isclose(out.t, nan_at * dt):
-                out = out.replace(q_hat=out.q_hat * np.nan)
+                out = out.replace(columns=out.columns * np.nan)
             return out
 
         def recording_advect(*args):
@@ -364,7 +363,7 @@ class TestCoupledIntegration:
         monkeypatch.setattr(particles, "advect_particles", recording_advect)
         state = random_state(grid16, alpha=0.25, seed=7)
         if nan_at is None:
-            state = state.replace(q_hat=state.q_hat * np.nan)
+            state = state.replace(columns=state.columns * np.nan)
         with pytest.raises(NumericsFailure):
             integrate_with_particles(state, ParticleMap.lattice(4), 0.1, dt=dt)
         assert moved == []

@@ -147,7 +147,7 @@ def test_steps_match_full_spectrum_oracle(state, cfl, scheme):
     # a CFL number below the limit for the dealiased velocity, which every
     # scheme checks; diffusion is a convolution with a probability measure,
     # so the splitting schemes' diffused velocity is no faster
-    dealiased = state.replace(q_hat=dealias(state.grid, state.q_hat))
+    dealiased = state.replace(columns=dealias(state.grid, state.columns))
     dt = cfl * state.grid.h / max_speed(dealiased)
     assert np.array_equal(STEPPERS[scheme](state, dt).q_hat, direct_step(scheme, state, dt))
 

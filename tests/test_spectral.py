@@ -24,7 +24,7 @@ from euleralpha.spectral import (
 from euleralpha.checks import helmholtz_pair_residuals, transform_residuals
 from euleralpha.dynamics import leray_project_hats
 
-from conftest import hermitian_defect, inverse_transform, random_band_hat
+from conftest import hermitian_defect, inverse_transform, mesh, random_band_hat
 
 
 class TestTorusGrid:
@@ -58,13 +58,29 @@ class TestTorusGrid:
             assert not g.dealias_mask[n // 2, :].any()
             assert not g.dealias_mask[:, n // 2].any()
 
+    def test_holds_no_other_square_array(self):
+        # the grid keeps K2 and the dealias mask, the buffer of rhs_factors
+        # and per-axis vectors, and no other (n, n) mesh
+        n = 64
+        grid = TorusGrid(n)
+        held = {name: value for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
+        held.update(rhs_factors=grid._rhs_factors[1])
+        assert {name for name, a in held.items() if a.size >= n * n} == {
+            "K2", "dealias_mask", "rhs_factors"}
+        assert all(max(a.shape) == a.size == n for name, a in held.items()
+                   if name not in ("K2", "dealias_mask", "rhs_factors"))
+        vectors = 8 * n + 8 * n + 16 * n + 16 * n  # x, kx, DX, DY
+        squares = 8 * n * n + n * n + 8 * 2 * n * (n // 2 + 1)
+        assert sum(a.nbytes for a in held.values()) == squares + vectors
+        assert np.array_equal(grid.x, 2.0 * np.pi * np.arange(n) / n)
+
 
 class TestTransforms:
     def test_zero_field(self, grid16):
         assert not forward_transform(np.zeros((16, 16))).any()
 
     def test_single_harmonic_two_modes(self, grid16):
-        F = forward_transform(np.cos(grid16.X))
+        F = forward_transform(np.cos(mesh(grid16)[0]))
         nonzero = np.argwhere(np.abs(F) > 1e-9)
         assert {tuple(ij) for ij in nonzero} == {(1, 0), (15, 0)}
         assert np.abs(F[1, 0]) == pytest.approx(np.abs(F[15, 0]))
@@ -86,7 +102,7 @@ class TestTransforms:
         F[2, 0] = 16**2 / 2
         F[14, 0] = 16**2 / 2
         f = inverse_transform(F)
-        assert np.abs(f - np.cos(2 * grid16.X)).max() <= 1e-13
+        assert np.abs(f - np.cos(2 * mesh(grid16)[0])).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [32, 512])
     def test_column_passes_equal_the_nd_transforms(self, n):
@@ -107,15 +123,15 @@ class TestTransforms:
 
 class TestMultipliers:
     def test_laplacian_eigenfunction(self, grid16):
-        F = forward_transform(np.cos(2 * grid16.X))
+        F = forward_transform(np.cos(2 * mesh(grid16)[0]))
         lap = inverse_transform(laplacian(grid16, F))
-        assert np.abs(lap - (-4.0) * np.cos(2 * grid16.X)).max() <= 1e-12
+        assert np.abs(lap - (-4.0) * np.cos(2 * mesh(grid16)[0])).max() <= 1e-12
 
     def test_helmholtz_filter_closed_form(self, grid16):
         # 1/(1 + 0.25 * 4) = 1/2 on the k=(2,0) shell
-        F = forward_transform(np.cos(2 * grid16.X))
+        F = forward_transform(np.cos(2 * mesh(grid16)[0]))
         filtered = inverse_transform(inverse_helmholtz(grid16, F, alpha=0.5))
-        assert np.abs(filtered - 0.5 * np.cos(2 * grid16.X)).max() <= 1e-13
+        assert np.abs(filtered - 0.5 * np.cos(2 * mesh(grid16)[0])).max() <= 1e-13
 
     def test_multipliers_commute(self, grid32):
         F = random_band_hat(grid32, 9, seed=7)
@@ -137,7 +153,8 @@ class TestHelmholtzPair:
 
     def test_diagonal_mode_closed_form(self, grid16):
         # (1 + 1*2) = 3 on the k=(1,1) shell
-        f = np.cos(grid16.X + grid16.Y)
+        X, Y = mesh(grid16)
+        f = np.cos(X + Y)
         out = inverse_transform(helmholtz(grid16, forward_transform(f), alpha=1.0))
         assert np.abs(out - 3.0 * f).max() <= 1e-12
 
@@ -158,9 +175,9 @@ class TestStreamFromOmega:
     def test_closed_form(self, grid16):
         # q = (1 + 4 alpha^2) cos(2x) -> omega = cos(2x) -> psi = cos(2x)/4
         for alpha in (0.0, 0.5):
-            q_hat = forward_transform((1.0 + 4.0 * alpha**2) * np.cos(2 * grid16.X))
+            q_hat = forward_transform((1.0 + 4.0 * alpha**2) * np.cos(2 * mesh(grid16)[0]))
             psi = np.fft.irfft2(self.stream(grid16, q_hat, alpha), s=(16, 16))
-            assert np.abs(psi - np.cos(2 * grid16.X) / 4.0).max() <= 1e-13
+            assert np.abs(psi - np.cos(2 * mesh(grid16)[0]) / 4.0).max() <= 1e-13
 
     def test_zero_maps_to_zero(self, grid16):
         assert not self.stream(grid16, np.zeros((16, 16), dtype=complex), 0.5).any()
@@ -177,14 +194,15 @@ class TestStreamFromOmega:
 class TestGuardedK2:
     @pytest.mark.parametrize("n", [8, 32])
     def test_divisions_match_per_call_guard(self, n):
-        # the cached divisor gives the bits of the guard np.where(K2 == 0, 1, K2)
+        # the projection on the wavenumber vectors gives the bits of the
+        # (n, n) meshes with the guard np.where(K2 == 0, 1, K2)
         grid = TorusGrid(n)
+        KX, KY = np.meshgrid(grid.kx, grid.kx, indexing="ij")
         k2 = np.where(grid.K2 == 0.0, 1.0, grid.K2)
-        assert np.array_equal(grid.K2_nonzero, k2)
         rng = np.random.default_rng(n)
         w = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
-        kdotw = (grid.KX * w[0] + grid.KY * w[1]) / k2
-        px, py = w[0] - grid.KX * kdotw, w[1] - grid.KY * kdotw
+        kdotw = (KX * w[0] + KY * w[1]) / k2
+        px, py = w[0] - KX * kdotw, w[1] - KY * kdotw
         px[0, 0], py[0, 0] = w[0][0, 0], w[1][0, 0]
         got = leray_project_hats(grid, w[0], w[1])
         assert np.array_equal(got[0], px) and np.array_equal(got[1], py)
@@ -219,7 +237,8 @@ class TestColumnBlocks:
 class TestDealias:
     def test_low_band_unchanged(self, grid32):
         F = random_band_hat(grid32, 8, seed=12)  # inside |k| <= n/4
-        F[(np.abs(grid32.KX) > 8) | (np.abs(grid32.KY) > 8)] = 0.0
+        outside = np.abs(grid32.kx) > 8
+        F[outside[:, None] | outside[None, :]] = 0.0
         assert np.array_equal(dealias(grid32, F), F)
 
     def test_nyquist_mode_zeroed(self, grid32):
@@ -240,5 +259,5 @@ class TestIntegrals:
 
     def test_l2_norm_closed_form(self, grid16):
         # int cos^2(2x) dx dy = (2pi)^2 / 2
-        F = forward_transform(np.cos(2 * grid16.X))
+        F = forward_transform(np.cos(2 * mesh(grid16)[0]))
         assert l2_norm(grid16, F) == pytest.approx(np.sqrt(2.0 * np.pi**2), rel=1e-13)
