@@ -31,10 +31,10 @@ machine precision.
 Nonlinear products are formed pointwise in physical space from dealiased
 spectral factors, and the product is dealiased again (2/3 rule). q is a
 real field, so its spectrum is fixed by the columns ky = 0..kmax that
-dealiasing keeps; the state stores only that block,
-:attr:`SimState.columns`. The RHS, velocity and diagnostics read it through
-:func:`_half_fields`, and ad*_u u is formed and returned on the same
-columns. The full spectrum, :attr:`SimState.q_hat`, is built on demand.
+dealiasing keeps; the state stores only that block, :attr:`SimState.columns`,
+the shape of ``rhs_factors``' table. The RHS, velocity and diagnostics read
+it through :func:`_half_fields`, and ad*_u u is formed and returned on the
+same columns. The full spectrum, :attr:`SimState.q_hat`, is built on demand.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class Diagnostics:
 def state_from_omega(
     grid: TorusGrid, omega_hat: np.ndarray, alpha: float, nu: float = 0.0, t: float = 0.0
 ) -> SimState:
-    """Build a state from spectral vorticity: q = (1 - alpha^2 Lap) w on its columns, dealiased."""
+    """The state of a vorticity block or full spectrum: q = (1 - alpha^2 Lap) w, dealiased."""
     q = dealias(grid, helmholtz(grid, omega_hat[:, : grid.kmax_dealias + 1], alpha))
     q[0, 0] = 0.0
     return SimState(grid=grid, columns=q, alpha=alpha, nu=nu, t=t)
@@ -128,18 +128,18 @@ def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray
     return inverse_helmholtz(grid, q_hat, alpha)
 
 
-def _half_fields(grid: TorusGrid, q_half: np.ndarray, alpha: float) -> np.ndarray:
-    """Stacked spectra of (dx q, dy q, u_x, u_y) on the columns ky = 0..w-1 of ``q_half``."""
-    dx, dy = grid.DX, grid.DY[:, : q_half.shape[1]]
-    psi = q_half * rhs_factors(grid, alpha)[0, :, : q_half.shape[1]]
-    fields = np.empty((4, *q_half.shape), dtype=complex)
-    for i, (d, f) in enumerate(((dx, q_half), (dy, q_half), (dy, psi), (-dx, psi))):
+def _half_fields(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
+    """Stacked spectra of (dx q, dy q, u_x, u_y) on the retained block ``q``."""
+    dx, dy = grid.DX, grid.DY[:, : q.shape[1]]
+    psi = q * rhs_factors(grid, alpha)[0]
+    fields = np.empty((4, *q.shape), dtype=complex)
+    for i, (d, f) in enumerate(((dx, q), (dy, q), (dy, psi), (-dx, psi))):
         np.multiply(d, f, out=fields[i])
     return fields
 
 
 def velocity_columns(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
-    """Stacked spectral (u_x, u_y) on the columns ky = 0..w-1 of a Hermitian q_hat, ``q``."""
+    """Stacked spectral (u_x, u_y) on the retained block ``q`` of a Hermitian q_hat."""
     return _half_fields(grid, q, alpha)[2:]
 
 
@@ -154,7 +154,7 @@ def _rhs_and_velocity(state: SimState, q: np.ndarray):
     qx, qy, ux, uy = columns_to_grid(_half_fields(grid, q_masked, state.alpha), n)
     out = -(grid_to_columns(ux * qx + uy * qy, w) * mask)
     if state.nu != 0.0:
-        out -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_masked
+        out -= (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked
     out[0, 0] = 0.0
     return out, ux, uy
 

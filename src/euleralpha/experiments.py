@@ -45,7 +45,7 @@ from .spectral import TorusGrid, _ifft_real, forward_transform, l2_norm
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
 #: largest accepted grid size: by arithmetic, at n = 4096 one grid and one state take
-#: about 0.35 GiB (K2 128 MiB, dealias mask 16 MiB, rhs_factors 128 MiB, state 85 MiB)
+#: about 0.31 GiB (K2 128 MiB, dealias mask 16 MiB, rhs_factors 85 MiB, state 85 MiB)
 MAX_N = 4096
 
 
@@ -54,7 +54,8 @@ class ConfigError(ValueError):
 
 
 def _check_alpha(alpha: float, n: int) -> None:
-    """ConfigError unless rhs_factors' largest, (1 + alpha^2 k^2) k^2 at k^2 = n^2/2, is finite."""
+    """ConfigError unless (1 + alpha^2 k^2) k^2 at k^2 = n^2/2, the full spectrum's largest, is
+    finite: it bounds rhs_factors' (ky <= kmax) and the snapshots' Helmholtz multiplier."""
     try:
         k2 = n**2 / 2
         finite = math.isfinite((1.0 + alpha**2 * k2) * k2)
@@ -204,7 +205,7 @@ def config_entries(cfg: RunConfig) -> dict:
 
 def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     """
-    Spectral initial vorticity for the configured initial condition.
+    The retained block, columns ky = 0..kmax, of the configured initial vorticity's spectrum.
 
     ``random_bandlimited`` draws independent unit-normal real/imag parts on
     the modes 1 <= |k|_inf <= ic_band, Hermitian-symmetrizes, zeroes the
@@ -214,35 +215,33 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
     Too large an amplitude or energy gives non-finite coefficients, with no
     warning; :func:`_initial_state` rejects them at the run's alpha.
     """
-    X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.ic == "random_bandlimited":
+            K = cfg.ic_band
+            if K > grid.kmax_dealias:
+                raise ConfigError(f"ic_band={K} outside the dealiased band of n={grid.n}")
+            omega_hat = _random_band_hat(grid, K, cfg.seed)
+            return omega_hat * np.sqrt(cfg.ic_energy / _omega_energy(grid, omega_hat, cfg.alpha))
+        X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
         if cfg.ic == "single_mode":
             k = (cfg.ic_kx, cfg.ic_ky)
             if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
                 raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
-            return forward_transform(cfg.ic_amplitude * np.cos(k[0] * X + k[1] * Y))
-        if cfg.ic == "taylor_green":
-            return forward_transform(cfg.ic_amplitude * 2.0 * np.cos(X) * np.cos(Y))
-        K = cfg.ic_band
-        if K > grid.kmax_dealias:
-            raise ConfigError(f"ic_band={K} outside the dealiased band of n={grid.n}")
-        omega_hat = _random_band_hat(grid, K, cfg.seed)
-        omega_hat *= np.sqrt(cfg.ic_energy / _omega_energy(grid, omega_hat, cfg.alpha))
-    return omega_hat
+            field = cfg.ic_amplitude * np.cos(k[0] * X + k[1] * Y)
+        else:  # taylor_green
+            field = cfg.ic_amplitude * 2.0 * np.cos(X) * np.cos(Y)
+        return forward_transform(field)[:, : grid.kmax_dealias + 1].copy()
 
 
 def _random_band_hat(grid: TorusGrid, K: int, seed: int) -> np.ndarray:
-    """Unit-normal real/imag parts on 1 <= |k|_inf <= K, Hermitian-symmetrized, mean zero."""
+    """Block of unit-normal real/imag parts on 1 <= |k|_inf <= K, Hermitian, mean zero."""
     rng = np.random.default_rng(seed)
-    n = grid.n
     shape = (2 * K + 1, 2 * K + 1)
-    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    omega_hat = np.zeros((n, n), dtype=np.complex128)
-    kvec = np.arange(-K, K + 1)
-    omega_hat[np.ix_(kvec % n, kvec % n)] = block
-    idx = (-np.arange(n)) % n
-    omega_hat = 0.5 * (omega_hat + np.conj(omega_hat[np.ix_(idx, idx)]))
-    omega_hat[0, 0] = 0.0
+    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    draw = 0.5 * (draw + np.conj(draw[::-1, ::-1]))  # kx, ky = -K..K: mode -k reversed
+    draw[K, K] = 0.0
+    omega_hat = np.zeros((grid.n, grid.kmax_dealias + 1), dtype=np.complex128)
+    omega_hat[np.arange(-K, K + 1) % grid.n, : K + 1] = draw[:, K:]
     return omega_hat
 
 
@@ -367,9 +366,8 @@ def _loglog_fit(values: Sequence[float], dists: Sequence[float]) -> tuple[float,
     return float(slope), float(np.sqrt(np.mean(resid**2)))
 
 
-def _terminal_q(cfg: RunConfig, omega_bytes: bytes) -> np.ndarray:
-    """Sweep member: integrate one configuration, return its terminal q_hat's retained columns."""
-    omega_hat = np.frombuffer(omega_bytes, dtype=np.complex128).reshape(cfg.n, cfg.n)
+def _terminal_q(cfg: RunConfig, omega_hat: np.ndarray) -> np.ndarray:
+    """Sweep member: integrate one configuration from omega0's block, return its final block."""
     if cfg.out is not None:
         return run(cfg, omega_hat=omega_hat).columns
     state = _initial_state(cfg, TorusGrid(cfg.n), omega_hat)
@@ -396,9 +394,8 @@ def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, worker
         return out
 
     _collect(zip(labels, (functools.partial(_initial_state, c, grid, omega_hat) for c in configs)))
-    omega_bytes = omega_hat.tobytes()
     if workers <= 1:
-        return _collect(zip(labels, (functools.partial(_terminal_q, c, omega_bytes)
+        return _collect(zip(labels, (functools.partial(_terminal_q, c, omega_hat)
                                      for c in configs)))
     longest_first = sorted(range(len(configs)), key=lambda i: configs[i].t_final / configs[i].dt,
                            reverse=True)
@@ -406,7 +403,7 @@ def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, worker
     with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         futures = [None] * len(configs)
         for i in longest_first:
-            futures[i] = pool.submit(_terminal_q, configs[i], omega_bytes)
+            futures[i] = pool.submit(_terminal_q, configs[i], omega_hat)
         try:
             for f in wait(futures, return_when=FIRST_EXCEPTION).not_done:
                 f.cancel()

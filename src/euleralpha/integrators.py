@@ -134,9 +134,9 @@ def _march(state: SimState, t_final: float, dt: float, step: Callable):
 
     The final partial step is shortened so the last state lands exactly on
     t_final; every earlier state has t < t_final. Non-finite states abort
-    with :class:`NumericsFailure`. A dt that is not positive and finite, or
-    a t_final that is not finite or precedes ``state.t``, raises
-    ``ValueError`` before the first state is yielded.
+    with :class:`NumericsFailure`, and no floating-point warning. A dt that
+    is not positive and finite, or a t_final that is not finite or precedes
+    ``state.t``, raises ``ValueError`` before the first state is yielded.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -149,7 +149,8 @@ def _march(state: SimState, t_final: float, dt: float, step: Callable):
     k = 0
     yield k, state
     while t_final - state.t > atol:
-        state = step(state, min(dt, t_final - state.t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = step(state, min(dt, t_final - state.t))
         k += 1
         # land on the exact step grid: accumulation drift would otherwise
         # leave the end time (and sweep comparability) off by roundoff

@@ -10,13 +10,13 @@ All fields live on a uniform N x N grid covering [0, 2pi)^2, so wavenumbers
 are integers. Scalar fields are represented two ways:
 
 * physical: real ``(n, n)`` arrays indexed ``[ix, iy]`` (x is axis 0),
-* spectral: complex ``(n, n)`` arrays of unnormalized forward-FFT
-  coefficients in numpy's standard frequency ordering, or a leading block
-  of their columns ky = 0..w-1 (``rfft2`` layout). A real dealiased field is
-  all in its columns ky = 0..kmax_dealias, and states keep only those. Every
-  multiplier below acts on the full spectrum or on any such block, shape
-  ``(..., n, w)``, by slicing the grid's table to w; :func:`l2_inner` reads
-  the retained columns.
+* spectral: complex arrays of unnormalized forward-FFT coefficients in
+  numpy's standard frequency ordering. A real dealiased field is all in its
+  retained block, the ``(n, kmax_dealias + 1)`` columns ky = 0..kmax_dealias
+  (``rfft2`` layout): states, initial conditions, sweep payloads and
+  :func:`rhs_factors` hold only it. ``SimState.q_hat`` expands it to the
+  full ``(n, n)`` spectrum. Every multiplier below acts on either, or on any
+  leading block ``(..., n, w)``, by slicing the grid's table to w.
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -98,7 +98,7 @@ class TorusGrid:
         s(self, "dealias_mask", kept[:, None] & kept[None, :])
         s(self, "kmax_dealias", int(np.ceil(cut)) - 1)
         s(self, "h", 2.0 * np.pi / n)
-        s(self, "_rhs_factors", [None, np.empty((2, n, n // 2 + 1))])
+        s(self, "_rhs_factors", [None, np.empty((2, n, self.kmax_dealias + 1))])
 
 
 def forward_transform(values: np.ndarray) -> np.ndarray:
@@ -130,13 +130,13 @@ def grid_to_columns(values: np.ndarray, w: int) -> np.ndarray:
 
 def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:
     """
-    Real factors on the half spectrum ky = 0..n/2 taking q to the stream
-    function and to -Lap w, for the last alpha asked for, written into a
+    Real factors on the retained block, shape ``(2, n, kmax + 1)``, taking q to the
+    stream function and to -Lap w, for the last alpha asked for, written into a
     buffer made with the grid: an array kept from mid-run can split the heap.
     """
     cached_alpha, factors = grid._rhs_factors
     if cached_alpha != alpha:
-        k2 = grid.K2[:, : grid.n // 2 + 1]
+        k2 = grid.K2[:, : grid.kmax_dealias + 1]
         smooth = 1.0 + alpha**2 * k2
         np.divide(1.0, smooth * np.where(k2 == 0.0, 1.0, k2), out=factors[0])
         np.divide(k2, smooth, out=factors[1])

@@ -168,13 +168,13 @@ def full_rhs(state: SimState) -> np.ndarray:
 
 def max_speed(state: SimState) -> float:
     """
-    Max pointwise |u| of the velocity of the whole half spectrum ky = 0..n/2 of a
-    Hermitian q_hat, on the solver's 1D passes. On a dealiased state it is the speed
-    ``rhs_columns_and_speed`` reports, the one the steppers' CFL check reads.
+    Max pointwise |u| of the velocity of the state's retained columns, on the
+    solver's 1D passes, which pad the columns above kmax with zeros. On a dealiased
+    state it is the speed ``rhs_columns_and_speed`` reports, the one the steppers'
+    CFL check reads.
     """
-    n = state.grid.n
-    u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
-    return float(np.hypot(*columns_to_grid(u, n)).max())
+    u = velocity_columns(state.grid, state.columns, state.alpha)
+    return float(np.hypot(*columns_to_grid(u, state.grid.n)).max())
 
 
 def direct_max_speed(state: SimState) -> float:
@@ -235,15 +235,15 @@ def nd_rhs_and_velocity(state: SimState, q: np.ndarray):
     qx, qy, ux, uy = np.fft.irfft2(_half_fields(grid, q_masked, state.alpha), s=(n, n))
     out = -(np.fft.rfft2(ux * qx + uy * qy)[:, :w] * mask)
     if state.nu != 0.0:
-        out -= (state.nu * rhs_factors(grid, state.alpha)[1, :, :w]) * q_masked
+        out -= (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked
     out[0, 0] = 0.0
     return out, ux, uy
 
 
 def nd_max_speed(state: SimState) -> float:
-    """Oracle for :func:`max_speed`: one ``irfft2`` of the velocity on the half spectrum."""
+    """Oracle for :func:`max_speed`: one ``irfft2`` of the velocity on the retained columns."""
     n = state.grid.n
-    u = velocity_columns(state.grid, state.q_hat[:, : n // 2 + 1], state.alpha)
+    u = velocity_columns(state.grid, state.columns, state.alpha)
     return float(np.hypot(*np.fft.irfft2(u, s=(n, n))).max())
 
 
@@ -307,6 +307,25 @@ def direct_step(scheme: str, state: SimState, dt: float) -> np.ndarray:
         return q_new
     mid = state.replace(columns=q_new[:, : state.columns.shape[1]])
     return diffusion_semigroup(mid, 0.5 * dt).q_hat
+
+
+def full_random_band_hat(grid: TorusGrid, K: int, seed: int) -> np.ndarray:
+    """
+    Oracle for ``experiments._random_band_hat``: the same draw placed on the full
+    ``(n, n)`` spectrum, Hermitian-symmetrized there through an ``np.ix_``
+    reflection of all n^2 modes, mean zero. The solver keeps its retained block.
+    """
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    shape = (2 * K + 1, 2 * K + 1)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    omega_hat = np.zeros((n, n), dtype=np.complex128)
+    kvec = np.arange(-K, K + 1)
+    omega_hat[np.ix_(kvec % n, kvec % n)] = block
+    idx = (-np.arange(n)) % n
+    omega_hat = 0.5 * (omega_hat + np.conj(omega_hat[np.ix_(idx, idx)]))
+    omega_hat[0, 0] = 0.0
+    return omega_hat
 
 
 def random_spectrum(grid: TorusGrid, band: int, seed: int) -> np.ndarray:

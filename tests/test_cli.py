@@ -42,7 +42,7 @@ def lone_config_error(argv, tmp_path, monkeypatch, capsys) -> str:
     return err
 
 
-def _worker_dies(cfg, omega_bytes):
+def _worker_dies(cfg, omega_hat):
     """Stands in for a sweep member whose worker process is killed."""
     os._exit(1)
 
@@ -242,6 +242,30 @@ class TestSweepCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("system error: sweep member ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestNumericalBreakdown:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--n", "16", "--t-final", "0.02", "--dt", "0.01", "--nu", "1e308",
+          "--out", "o"],
+         "numerical failure: non-finite state at t=0.01"),
+        (["splitting-order", "--n", "16", "--t-final", "0.05", "--nu", "1e300",
+          "--dt-list", "0.02,0.01,0.005"],
+         "numerical failure: sweep member rk4 dt="),
+    ], ids=["run", "splitting-order"])
+    def test_overflowing_step_is_one_line(self, argv, message, workers, tmp_path, monkeypatch,
+                                          capsys):
+        # the state overflows inside a step; only the non-finite check reports it. A
+        # warning raises, in this process and in a forked pool worker, so none was issued
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
 

@@ -169,13 +169,13 @@ class TestVelocityFromQ:
         assert np.abs(div).max() <= 1e-10 * peak_speed(*self.physical(grid32, u))
 
     def test_nyquist_row_gives_real_velocity(self, grid32):
-        # cos(x + 16y) puts energy on the unpaired ky = 16 column of the half spectrum;
-        # the velocity of the columns expands to a real field's full spectrum
+        # cos(16x + y) puts energy on the unpaired kx = 16 row of the retained block;
+        # the velocity of the block expands to a real field's full spectrum
         X, Y = mesh(grid32)
-        q = forward_transform(np.cos(X + 16 * Y))
-        assert np.abs(q[:, 16]).max() > 0.0
-        for coeffs in velocity_columns(grid32, q[:, :17], 0.0):
-            full = np.concatenate([coeffs, np.conj(coeffs[-np.arange(32) % 32, 15:0:-1])], axis=1)
+        q = forward_transform(np.cos(16 * X + Y))[:, : grid32.kmax_dealias + 1]
+        assert np.abs(q[16]).max() > 0.0
+        for coeffs in velocity_columns(grid32, q, 0.0):
+            full = SimState(grid32, coeffs, 0.0).q_hat
             assert hermitian_defect(full) <= 1e-9 * (1 + np.abs(coeffs).max())
 
 

@@ -5,6 +5,7 @@ persisted runs, the snapshot/CSV formats, and the parameter sweeps.
 
 import dataclasses
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from euleralpha import experiments
 from euleralpha.checks import snapshot_roundtrip_error
-from euleralpha.dynamics import compute_diagnostics
+from euleralpha.dynamics import SimState, compute_diagnostics
 from euleralpha.experiments import (
     ConfigError,
     RunConfig,
@@ -32,7 +33,9 @@ from euleralpha.output import (
     snapshot_name,
     write_snapshot,
 )
-from euleralpha.spectral import TorusGrid
+from euleralpha.spectral import TorusGrid, forward_transform
+
+from conftest import full_random_band_hat, mesh
 
 
 class TestConfigParsing:
@@ -128,7 +131,7 @@ class TestInitialConditions:
     def test_taylor_green_profile(self):
         cfg = RunConfig(n=32, ic="taylor_green", ic_amplitude=1.5)
         grid = TorusGrid(32)
-        omega = np.fft.ifft2(make_omega0(cfg, grid)).real
+        omega = np.fft.irfft2(make_omega0(cfg, grid), s=(32, 32))
         X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
         assert np.allclose(omega, 3.0 * np.cos(X) * np.cos(Y), atol=1e-12)
 
@@ -152,11 +155,14 @@ class TestInitialConditions:
         cfg = RunConfig(n=64, ic="random_bandlimited", seed=6, ic_band=4)
         grid = TorusGrid(64)
         omega_hat = make_omega0(cfg, grid)
+        assert omega_hat.shape == (64, grid.kmax_dealias + 1)
         outside = np.abs(grid.kx) > 4
-        assert not omega_hat[outside[:, None] | outside[None, :]].any()
+        assert not omega_hat[outside[:, None] | outside[None, : omega_hat.shape[1]]].any()
         assert omega_hat[0, 0] == 0.0
+        # the ky = 0 column holds both kx and -kx; the expansion holds every -k
+        full = SimState(grid, omega_hat, 0.0).q_hat
         idx = (-np.arange(64)) % 64
-        assert np.allclose(omega_hat, np.conj(omega_hat[np.ix_(idx, idx)]), atol=1e-12)
+        assert np.allclose(full, np.conj(full[np.ix_(idx, idx)]), atol=1e-12)
 
     def test_band_beyond_mask_rejected(self):
         cfg = RunConfig(n=16, ic="random_bandlimited", ic_band=6)
@@ -196,6 +202,52 @@ def omega_energy_calls(monkeypatch):
     monkeypatch.setattr(experiments, "_omega_energy",
                         lambda *args: calls.append(args) or energy(*args))
     return calls
+
+
+class TestInitialConditionBlock:
+    """make_omega0 returns the retained block of the full-spectrum initial conditions, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    @pytest.mark.parametrize("n", [8, 16, 64, 512])
+    def test_random_equals_full_spectrum_oracle(self, n, alpha):
+        grid = TorusGrid(n)
+        w = grid.kmax_dealias + 1
+        for band in sorted({1, 2, min(4, grid.kmax_dealias), grid.kmax_dealias}):
+            for seed in (0, 7, 2025):
+                cfg = RunConfig(n=n, alpha=alpha, ic_band=band, seed=seed, ic_energy=0.5)
+                got = make_omega0(cfg, grid)
+                assert got.shape == (n, w)
+                oracle = full_random_band_hat(grid, band, seed)
+                oracle *= np.sqrt(cfg.ic_energy / experiments._omega_energy(grid, oracle, alpha))
+                assert np.array_equal(got, oracle[:, :w])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    @pytest.mark.parametrize("n", [8, 16, 64, 512])
+    def test_grid_samples_equal_transform_block(self, n, alpha):
+        grid = TorusGrid(n)
+        kmax = grid.kmax_dealias
+        X, Y = mesh(grid)
+        for amplitude in (1.0, -0.7):
+            cfg = RunConfig(n=n, alpha=alpha, ic="taylor_green", ic_amplitude=amplitude)
+            expected = forward_transform(amplitude * 2.0 * np.cos(X) * np.cos(Y))
+            assert np.array_equal(make_omega0(cfg, grid), expected[:, : kmax + 1])
+            for kx, ky in ((1, 0), (0, -1), (kmax, -kmax), (-1, 2)):
+                cfg = cfg.replace(ic="single_mode", ic_kx=kx, ic_ky=ky)
+                expected = forward_transform(amplitude * np.cos(kx * X + ky * Y))
+                assert np.array_equal(make_omega0(cfg, grid), expected[:, : kmax + 1])
+
+    def test_random_draw_peaks_below_two_blocks(self):
+        # the draw is symmetrized on its own (2K+1)^2 modes, with no (n, n) spectrum
+        grid = TorusGrid(512)
+        block_bytes = 16 * grid.n * (grid.kmax_dealias + 1)
+        for band in (1, 4, 16):
+            tracemalloc.start()
+            try:
+                experiments._random_band_hat(grid, band, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * block_bytes
 
 
 class TestRun:

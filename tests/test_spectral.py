@@ -59,18 +59,19 @@ class TestTorusGrid:
             assert not g.dealias_mask[:, n // 2].any()
 
     def test_holds_no_other_square_array(self):
-        # the grid keeps K2 and the dealias mask, the buffer of rhs_factors
-        # and per-axis vectors, and no other (n, n) mesh
+        # the grid keeps K2 and the dealias mask, the buffer of rhs_factors on
+        # the retained block and per-axis vectors, and no other (n, n) mesh
         n = 64
         grid = TorusGrid(n)
+        w = grid.kmax_dealias + 1
         held = {name: value for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
         held.update(rhs_factors=grid._rhs_factors[1])
-        assert {name for name, a in held.items() if a.size >= n * n} == {
-            "K2", "dealias_mask", "rhs_factors"}
+        assert {name for name, a in held.items() if a.size >= n * n} == {"K2", "dealias_mask"}
+        assert held["rhs_factors"].shape == (2, n, w)
         assert all(max(a.shape) == a.size == n for name, a in held.items()
                    if name not in ("K2", "dealias_mask", "rhs_factors"))
         vectors = 8 * n + 8 * n + 16 * n + 16 * n  # x, kx, DX, DY
-        squares = 8 * n * n + n * n + 8 * 2 * n * (n // 2 + 1)
+        squares = 8 * n * n + n * n + 8 * 2 * n * w
         assert sum(a.nbytes for a in held.values()) == squares + vectors
         assert np.array_equal(grid.x, 2.0 * np.pi * np.arange(n) / n)
 
@@ -166,11 +167,11 @@ class TestHelmholtzPair:
 
 
 class TestStreamFromOmega:
-    """The stream-function factor rhs_factors(grid, alpha)[0] on the half spectrum ky = 0..n/2."""
+    """The stream-function factor rhs_factors(grid, alpha)[0] on the retained columns ky = 0..kmax."""
 
     @staticmethod
     def stream(grid, q_hat, alpha):
-        return q_hat[:, : grid.n // 2 + 1] * rhs_factors(grid, alpha)[0]
+        return q_hat[:, : grid.kmax_dealias + 1] * rhs_factors(grid, alpha)[0]
 
     def test_closed_form(self, grid16):
         # q = (1 + 4 alpha^2) cos(2x) -> omega = cos(2x) -> psi = cos(2x)/4
@@ -184,7 +185,7 @@ class TestStreamFromOmega:
 
     def test_inverse_pair_with_laplacian(self, grid32):
         # -Lap psi = (1 - alpha^2 Lap)^-1 q, with the width-generic multipliers
-        q_hat = random_band_hat(grid32, 9, seed=11)[:, :17]
+        q_hat = random_band_hat(grid32, 9, seed=11)[:, : grid32.kmax_dealias + 1]
         for alpha in (0.0, 0.7):
             back = -laplacian(grid32, self.stream(grid32, q_hat, alpha))
             omega = inverse_helmholtz(grid32, q_hat, alpha)

@@ -6,9 +6,10 @@ Byte-identity fingerprint of the solver's outputs.
 Imports ``euleralpha`` from the given source root and, in a temporary
 directory, runs:
 
-* ``experiments.run`` for every scheme x nu in {0, 0.01} x two initial
-  conditions (n=16 random band, n=32 Taylor-Green), with a shortened last
-  step and diagnostics rows and snapshots off the step cadence;
+* ``experiments.run`` for every scheme x nu in {0, 0.01} x three initial
+  conditions (n=16 random band, n=32 Taylor-Green, n=16 single mode), with
+  a shortened last step and diagnostics rows and snapshots off the step
+  cadence;
 * the three sweeps with and without an output directory, at 1 and 2
   workers;
 * ``euleralpha check``, capturing its stdout;
@@ -86,7 +87,8 @@ def fingerprint(src_root: Path) -> tuple[str, int, dict[str, str]]:
         root = Path(tmp)
         base = experiments.RunConfig(alpha=0.25, dt=0.01, t_final=0.105, save_every=4, diag_every=3)
         ics = (dict(n=16, ic="random_bandlimited", ic_band=4, seed=7),
-               dict(n=32, ic="taylor_green", ic_amplitude=0.5))
+               dict(n=32, ic="taylor_green", ic_amplitude=0.5),
+               dict(n=16, ic="single_mode", ic_kx=3, ic_ky=-2, ic_amplitude=0.7))
         for scheme in experiments.SCHEMES:
             for nu in (0.0, 0.01):
                 for i, ic in enumerate(ics):
