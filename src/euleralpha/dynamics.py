@@ -32,9 +32,20 @@ Nonlinear products are formed pointwise in physical space from dealiased
 spectral factors, and the product is dealiased again (2/3 rule). q is a
 real field, so its spectrum is fixed by the columns ky = 0..kmax that
 dealiasing keeps; the state stores only that block, :attr:`SimState.columns`,
-the shape of ``rhs_factors``' table. The RHS, velocity and diagnostics read
-it through :func:`_half_fields`, and ad*_u u is formed and returned on the
+the shape of ``rhs_factors``' table. ad*_u u is formed and returned on the
 same columns. The full spectrum, :attr:`SimState.q_hat`, is built on demand.
+
+The RHS is one pass over the block. Every retained column has ky <= kmax <
+n/3, so there the 2/3 mask is the row mask |kx| < n/3, ``dealias_mask[:, :1]``,
+applied to the input and, in place, to the output. The four spectra
+(dx q, dy q, u_x, u_y) are written into one buffer; the inverse transform's
+axis-0 pass runs in it, u . grad q is summed into the slot of dx q, and the
+forward axis-1 pass writes over the spent buffer, so the pass allocates the
+four spectra, the four grid fields and its result, and its operations are
+those of the separate multiplies, bit for bit. The max speed is the max of
+u_x^2 + u_y^2, with ``hypot`` only at the points within 1e-12 of it (every
+point when that max is not a finite normal number): the value of
+``hypot(u_x, u_y).max()`` without its cost at every point.
 """
 
 from __future__ import annotations
@@ -128,35 +139,68 @@ def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray
     return inverse_helmholtz(grid, q_hat, alpha)
 
 
-def _half_fields(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
-    """Stacked spectra of (dx q, dy q, u_x, u_y) on the retained block ``q``."""
-    dx, dy = grid.DX, grid.DY[:, : q.shape[1]]
-    psi = q * rhs_factors(grid, alpha)[0]
-    fields = np.empty((4, *q.shape), dtype=complex)
-    for i, (d, f) in enumerate(((dx, q), (dy, q), (dy, psi), (-dx, psi))):
-        np.multiply(d, f, out=fields[i])
-    return fields
+def _velocity(grid: TorusGrid, q: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Write the spectral (u_x, u_y) = (dy psi, -dx psi) of the retained block ``q`` into ``out``."""
+    psi = np.multiply(q, rhs_factors(grid, alpha)[0], out=out[1])
+    np.multiply(grid.DY[:, : q.shape[1]], psi, out=out[0])
+    np.multiply(grid.neg_DX, psi, out=out[1])
+    return out
 
 
 def velocity_columns(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
     """Stacked spectral (u_x, u_y) on the retained block ``q`` of a Hermitian q_hat."""
-    return _half_fields(grid, q, alpha)[2:]
+    return _velocity(grid, q, alpha, np.empty((2, *q.shape), dtype=complex))
 
 
-def _rhs_and_velocity(state: SimState, q: np.ndarray):
-    """The block of :func:`rhs_columns` and the grid velocity (u_x, u_y) it transports with."""
+def _rhs_and_velocity(state: SimState, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The block of :func:`rhs_columns` and the ``(4, n, n)`` grid fields the pass leaves:
+    ``[2:]`` the velocity (u_x, u_y) it transports with, ``[:2]`` free for reuse.
+    """
     grid = state.grid
     n, w = grid.n, grid.kmax_dealias + 1
     if q.shape != (n, w):
         raise ValueError(f"expected the retained columns, shape {(n, w)}, got {q.shape}")
-    mask = grid.dealias_mask[:, :w]
-    q_masked = q * mask
-    qx, qy, ux, uy = columns_to_grid(_half_fields(grid, q_masked, state.alpha), n)
-    out = -(grid_to_columns(ux * qx + uy * qy, w) * mask)
+    rows = grid.dealias_mask[:, :1]  # the 2/3 mask on the block
+    fields = np.empty((4, n, w), dtype=complex)
+    q_masked = np.multiply(q, rows, out=fields[0])  # dx q is formed over it last
+    _velocity(grid, q_masked, state.alpha, fields[2:])
+    np.multiply(grid.DY[:, :w], q_masked, out=fields[1])
+    viscous = None
     if state.nu != 0.0:
-        out -= (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked
+        viscous = (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked
+    np.multiply(grid.DX, q_masked, out=fields[0])
+    values = columns_to_grid(fields, n, overwrite=True)
+    qx, qy, ux, uy = values
+    np.multiply(ux, qx, out=qx)  # u . grad q into the slot of qx
+    np.multiply(uy, qy, out=qy)
+    out = grid_to_columns(np.add(qx, qy, out=qx), w, work=fields)
+    np.multiply(out, rows, out=out)
+    np.negative(out, out=out)
+    if viscous is not None:
+        out -= viscous
     out[0, 0] = 0.0
-    return out, ux, uy
+    return out, values
+
+
+def _max_speed(values: np.ndarray) -> float:
+    """
+    max |u| of the grid fields ``values`` = (free, free, u_x, u_y), equal to
+    ``float(np.hypot(u_x, u_y).max())``: the max of u_x^2 + u_y^2, formed in the free
+    slots, then ``hypot`` only where that sum is within 1e-12 of it. The sum is within
+    a few ulps of |u|^2, so the points it leaves out are not the max; when its max is
+    not a finite normal number (overflow, underflow, NaN), ``hypot`` takes every point.
+    """
+    ux, uy = values[2], values[3]
+    square = values[0]
+    with np.errstate(over="ignore", under="ignore"):
+        np.multiply(ux, ux, out=square)
+        square += np.multiply(uy, uy, out=values[1])
+    peak = square.max()
+    if not (np.isfinite(peak) and peak >= np.finfo(np.float64).tiny):
+        return float(np.hypot(ux, uy).max())
+    near = square >= peak * (1.0 - 1e-12)
+    return float(np.hypot(ux[near], uy[near]).max())
 
 
 def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
@@ -172,8 +216,8 @@ def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
 
 def rhs_columns_and_speed(state: SimState, q: np.ndarray) -> tuple[np.ndarray, float]:
     """:func:`rhs_columns` and the max pointwise |u| of the velocity it transports with."""
-    out, ux, uy = _rhs_and_velocity(state, q)
-    return out, float(np.hypot(ux, uy).max())
+    out, values = _rhs_and_velocity(state, q)
+    return out, _max_speed(values)
 
 
 def leray_project_hats(
@@ -249,11 +293,13 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     state and raises.
     """
     grid, alpha, q = state.grid, state.alpha, state.columns
-    fields = _half_fields(grid, q, alpha)
-    fields[:2] = helmholtz(grid, fields[2:], alpha)  # v in the slots of (dx q, dy q)
-    vx, vy, ux, uy = columns_to_grid(fields, grid.n)
+    fields = np.empty((4, *q.shape), dtype=complex)
+    u = _velocity(grid, q, alpha, fields[2:])
+    fields[:2] = helmholtz(grid, u, alpha)  # v
+    energy = energy_hats(grid, u[0], u[1], alpha)
+    values = columns_to_grid(fields, grid.n, overwrite=True)
+    vx, vy, ux, uy = values
 
-    energy = energy_hats(grid, fields[2], fields[3], alpha)
     energy_phys = energy_quadrature(grid, ux, uy, vx, vy)
     scale = max(abs(energy), abs(energy_phys), 1e-300)
     if abs(energy - energy_phys) > _ENERGY_QUADRATURE_RTOL * scale and scale > 1e-30:
@@ -265,7 +311,7 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     mean_q = integral(grid, q)
     casimir2 = l2_inner(grid, q, q)
     enstrophy = l2_inner(grid, omega, omega)
-    umax = float(np.hypot(ux, uy).max())
+    umax = _max_speed(values)  # over vx, vy, read above
     return Diagnostics(
         t=state.t,
         energy=energy,

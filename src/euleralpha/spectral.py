@@ -28,13 +28,16 @@ integrals follow as ``int f dx = (2pi)**2 * coeff(0,0) / n**2`` and
 ``int f*g dx = (2pi)**2 * sum_k conj(F) G / n**4``.
 
 Dealiasing uses the 2/3 rule: a mode is kept iff ``|kx| < n/3`` and
-``|ky| < n/3``, which in particular always removes the Nyquist modes.
+``|ky| < n/3``, which in particular always removes the Nyquist modes. Every
+column of the retained block has ky <= kmax_dealias < n/3, so on the block
+the mask is its row mask |kx| < n/3, ``dealias_mask[:, :1]``.
 First-derivative multipliers zero the Nyquist wavenumber as well so odd
 derivatives of real fields stay real.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,8 @@ class TorusGrid:
         Squared magnitude ``kx**2 + ky**2``.
     DX, DY : ndarray, shapes (n, 1) and (1, n), complex
         First-derivative multipliers ``i*k``, Nyquist mode zeroed; they broadcast.
+    neg_DX : ndarray, shape (n, 1), complex
+        ``-DX``, the multiplier taking the stream function to u_y.
     dealias_mask : ndarray of bool, shape (n, n)
         True iff ``|kx| < n/3`` and ``|ky| < n/3`` (2/3 rule).
     kmax_dealias : int
@@ -74,6 +79,7 @@ class TorusGrid:
     K2: np.ndarray = field(init=False, repr=False)
     DX: np.ndarray = field(init=False, repr=False)
     DY: np.ndarray = field(init=False, repr=False)
+    neg_DX: np.ndarray = field(init=False, repr=False)
     dealias_mask: np.ndarray = field(init=False, repr=False)
     kmax_dealias: int = field(init=False)
     h: float = field(init=False)
@@ -93,6 +99,7 @@ class TorusGrid:
         kd[n // 2] = 0.0
         s(self, "DX", 1j * kd[:, None])
         s(self, "DY", 1j * kd[None, :])
+        s(self, "neg_DX", -self.DX)
         cut = n / 3.0
         kept = np.abs(k1) < cut
         s(self, "dealias_mask", kept[:, None] & kept[None, :])
@@ -111,21 +118,27 @@ def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(coeffs).real
 
 
-def columns_to_grid(block: np.ndarray, n: int) -> np.ndarray:
+def columns_to_grid(block: np.ndarray, n: int, overwrite: bool = False) -> np.ndarray:
     """
     Real ``(n, n)`` samples of the fields whose spectra have the columns ky = 0..w-1
     ``block`` (last axes ``(n, w)``, w <= n/2 + 1) and zeros above: the two 1D passes
     ``irfft2(block, s=(n, n))`` makes, without its nd wrapper, so bit for bit the same.
+    ``overwrite=True`` runs the axis-0 pass in ``block``'s own memory.
     """
-    return np.fft.irfft(np.fft.ifft(block, axis=-2), n=n, axis=-1)
+    return np.fft.irfft(np.fft.ifft(block, axis=-2, out=block if overwrite else None), n=n, axis=-1)
 
 
-def grid_to_columns(values: np.ndarray, w: int) -> np.ndarray:
+def grid_to_columns(values: np.ndarray, w: int, work: np.ndarray | None = None) -> np.ndarray:
     """
     The columns ky = 0..w-1 of the real grid fields' spectra, ``rfft2(values)[..., :w]``
-    bit for bit, with the axis-0 pass on those w columns only.
+    bit for bit, with the axis-0 pass on those w columns only. A contiguous complex
+    ``work`` array of at least as many entries as ``rfft(values)`` holds the axis-1 pass.
     """
-    return np.fft.fft(np.fft.rfft(values)[..., :w], axis=-2)
+    half = None
+    if work is not None:
+        shape = (*values.shape[:-1], values.shape[-1] // 2 + 1)
+        half = work.reshape(-1)[: math.prod(shape)].reshape(shape)
+    return np.fft.fft(np.fft.rfft(values, out=half)[..., :w], axis=-2)
 
 
 def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:

@@ -278,15 +278,24 @@ class TestHalfSpectrumRhs:
 class TestOneDimensionalPasses:
     """The RHS, its speed and diagnostics on 1D transform passes equal their nd bodies bit for bit."""
 
+    @staticmethod
+    def assert_passes_match(state, stage):
+        # the state's columns, and a stage input that is not dealiased
+        for q in (state.columns, stage):
+            out, values = _rhs_and_velocity(state, q)
+            expected, ux, uy = nd_rhs_and_velocity(state, q)
+            for got, want in ((out, expected), (values[2], ux), (values[3], uy)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rhs_columns_and_speed(state, state.columns)[1] == nd_max_speed(state)
+        assert compute_diagnostics(state, 1e-2) == nd_diagnostics(state, 1e-2)
+
     @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
     @pytest.mark.parametrize("nu", [0.0, 0.05])
     def test_rhs_and_velocity(self, n, nu):
         grid = TorusGrid(n)
         state = random_state(grid, alpha=0.3, nu=nu, kmax=grid.kmax_dealias, seed=n)
         stage = state.columns + 0.01 * random_spectrum(grid, n // 2, seed=n)
-        for q in (state.columns, stage):
-            for got, expected in zip(_rhs_and_velocity(state, q), nd_rhs_and_velocity(state, q)):
-                assert np.array_equal(got, expected)
+        self.assert_passes_match(state, stage)
 
     @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
     @pytest.mark.parametrize("nu", [0.0, 0.05])
@@ -295,6 +304,21 @@ class TestOneDimensionalPasses:
         state = random_state(grid, alpha=0.3, nu=nu, kmax=grid.kmax_dealias, seed=n)
         assert rhs_columns_and_speed(state, state.columns)[1] == nd_max_speed(state)
         assert compute_diagnostics(state, 1e-2) == nd_diagnostics(state, 1e-2)
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_alpha_zero(self, n, nu):
+        grid = TorusGrid(n)
+        state = random_state(grid, alpha=0.0, nu=nu, kmax=grid.kmax_dealias, seed=n)
+        self.assert_passes_match(state, state.columns + 0.01 * random_spectrum(grid, n // 2, seed=n))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_n512(self, alpha, nu):
+        # spectral draws: random_state's harmonic sum is too slow at this size
+        grid = TorusGrid(512)
+        state = state_from_omega(grid, random_spectrum(grid, grid.kmax_dealias, seed=5), alpha, nu=nu)
+        self.assert_passes_match(state, state.columns + 0.01 * random_spectrum(grid, 256, seed=6))
 
 
 class TestLerayProjection:

@@ -11,13 +11,14 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from euleralpha.checks import cross_form_residual, semigroup_error
 from euleralpha.dynamics import (
     SimState,
+    _max_speed,
     compute_diagnostics,
     omega_from_q,
     rhs_columns,
@@ -46,6 +47,7 @@ from conftest import (
     full_rhs,
     hermitian_defect,
     max_speed,
+    nd_max_speed,
     random_spectrum,
     stream_from_omega,
     velocity_hats_from_q,
@@ -150,6 +152,72 @@ def test_steps_match_full_spectrum_oracle(state, cfl, scheme):
     dealiased = state.replace(columns=dealias(state.grid, state.columns))
     dt = cfl * state.grid.h / max_speed(dealiased)
     assert np.array_equal(STEPPERS[scheme](state, dt).q_hat, direct_step(scheme, state, dt))
+
+
+# -- the max speed: the max of u_x^2 + u_y^2, then hypot near it, is hypot's max
+
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def velocity_samples(draw):
+    """
+    Grid fields (free, free, u_x, u_y) of a few points. Entries come from two pools
+    of at most four values, each scaled by a power of ten in [1e-300, 1e300], often
+    one whose squares are subnormal or near overflow, so ties are common and one
+    field can mix magnitudes whose squares overflow and underflow; a field can be
+    all zeros, and can carry inf and NaN entries.
+    """
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    pools = []
+    for _ in range(2):
+        scale = 10.0 ** draw(st.one_of(st.integers(-300, 300), st.integers(-164, -154),
+                                       st.integers(152, 154)))
+        pools += [v * scale for v in draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4))]
+    values = np.zeros((4, *shape))
+    if not draw(st.booleans()) or draw(st.booleans()):  # a quarter of the draws: all zeros
+        values[2:] = draw(arrays(np.float64, (2, *shape), elements=st.sampled_from(pools)))
+    for _ in range(draw(st.integers(0, 2))):
+        values[(draw(st.sampled_from((2, 3))), draw(st.integers(0, shape[0] - 1)),
+                draw(st.integers(0, shape[1] - 1)))] = draw(st.sampled_from(SPECIALS))
+    return values
+
+
+# squares that round to 0 + 0 at the faster point and to the least subnormal at the
+# slower one: a peak that is not normal does not order the points
+SUBNORMAL_INVERSION = np.array([[[0.0, 0.0]]] * 2 + [[[1.556e-162, 1.587e-162]], [[1.556e-162, 0.0]]])
+# normal squares whose rounded sums order two points against their hypot: the
+# points within 1e-12 of the peak are all compared
+ROUNDING_INVERSION = np.array([[[0.0, 0.0]]] * 2 + [[[0.5765465278118631, 0.7718840077376707]],
+                                                   [[0.7769487419180353, 0.5833098018195517]]])
+
+
+@settings(PROPERTY, max_examples=500)
+@given(velocity_samples())
+@example(SUBNORMAL_INVERSION)
+@example(ROUNDING_INVERSION)
+def test_max_speed_is_the_max_of_hypot_bit_for_bit(values):
+    expected = float(np.hypot(values[2], values[3]).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # squares that overflow do not warn
+        got = _max_speed(values.copy())
+    assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+@PROPERTY
+@given(states(), st.floats(0.6, 4.0))
+def test_cfl_violation_carries_the_hypot_cfl(state, cfl):
+    # the CFL number a rejected step reports is hypot's max speed times dt / h
+    state = state.replace(columns=dealias(state.grid, state.columns))
+    speed = nd_max_speed(state)
+    assume(speed > 0.0)
+    dt = cfl * state.grid.h / speed
+    try:
+        step_rk4(state, dt)
+    except CflViolation as err:
+        assert err.cfl == speed * dt / state.grid.h
+    else:
+        raise AssertionError("a CFL number above the limit was accepted")
 
 
 # -- snapshots: every finite float64 comes back with the same bits

@@ -52,6 +52,19 @@ class TestTorusGrid:
         idx = (-np.arange(n)) % n
         assert np.array_equal(grid32.dealias_mask, grid32.dealias_mask[np.ix_(idx, idx)])
 
+    def test_block_mask_is_its_row_mask(self):
+        # every retained column has ky <= kmax < n/3, so on the block the 2/3 mask
+        # is |kx| < n/3, the dealias_mask[:, :1] the RHS pass masks the block with
+        for n in range(8, 1025, 2):
+            grid = TorusGrid(n)
+            w = grid.kmax_dealias + 1
+            assert np.array_equal(grid.dealias_mask[:, :w],
+                                  np.broadcast_to(grid.dealias_mask[:, :1], (n, w)))
+            assert np.array_equal(grid.dealias_mask[:, 0], np.abs(grid.kx) < n / 3)
+
+    def test_neg_dx_is_minus_dx_bit_for_bit(self, grid32):
+        assert grid32.neg_DX.tobytes() == (-grid32.DX).tobytes()
+
     def test_nyquist_always_masked(self):
         for n in (8, 12, 24, 64):
             g = TorusGrid(n)
@@ -70,7 +83,7 @@ class TestTorusGrid:
         assert held["rhs_factors"].shape == (2, n, w)
         assert all(max(a.shape) == a.size == n for name, a in held.items()
                    if name not in ("K2", "dealias_mask", "rhs_factors"))
-        vectors = 8 * n + 8 * n + 16 * n + 16 * n  # x, kx, DX, DY
+        vectors = 8 * n + 8 * n + 16 * n + 16 * n + 16 * n  # x, kx, DX, DY, neg_DX
         squares = 8 * n * n + n * n + 8 * 2 * n * w
         assert sum(a.nbytes for a in held.values()) == squares + vectors
         assert np.array_equal(grid.x, 2.0 * np.pi * np.arange(n) / n)
@@ -114,6 +127,22 @@ class TestTransforms:
         values = rng.standard_normal((n, n))
         assert np.array_equal(columns_to_grid(block, n), np.fft.irfft2(block, s=(n, n)))
         assert np.array_equal(grid_to_columns(values, w), np.fft.rfft2(values)[:, :w])
+
+    @pytest.mark.parametrize("n", [8, 32, 512])
+    def test_passes_in_the_callers_memory_keep_the_bits(self, n):
+        # the axis-0 inverse pass in the block's memory, and the axis-1 forward pass in
+        # a spent (4, n, w) block, give the allocating passes' bytes
+        rng = np.random.default_rng(n)
+        w = TorusGrid(n).kmax_dealias + 1
+        block = rng.standard_normal((4, n, w)) + 1j * rng.standard_normal((4, n, w))
+        expected = columns_to_grid(block, n)
+        spent = block.copy()
+        assert columns_to_grid(spent, n, overwrite=True).tobytes() == expected.tobytes()
+        assert spent.tobytes() == np.fft.ifft(block, axis=-2).tobytes()
+        values = expected[0]
+        got = grid_to_columns(values, w, work=spent)
+        assert got.tobytes() == grid_to_columns(values, w).tobytes()
+        assert not np.shares_memory(got, spent)
 
     def test_inverse_rejects_non_hermitian(self, grid16):
         F = np.zeros((16, 16), dtype=complex)
