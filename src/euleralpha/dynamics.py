@@ -143,7 +143,7 @@ def _velocity(grid: TorusGrid, q: np.ndarray, alpha: float, out: np.ndarray) -> 
     """Write the spectral (u_x, u_y) = (dy psi, -dx psi) of the retained block ``q`` into ``out``."""
     psi = np.multiply(q, rhs_factors(grid, alpha)[0], out=out[1])
     np.multiply(grid.DY[:, : q.shape[1]], psi, out=out[0])
-    np.multiply(grid.neg_DX, psi, out=out[1])
+    np.multiply(-grid.DX, psi, out=out[1])
     return out
 
 
@@ -170,7 +170,7 @@ def _rhs_and_velocity(state: SimState, q: np.ndarray) -> tuple[np.ndarray, np.nd
     if state.nu != 0.0:
         viscous = (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked
     np.multiply(grid.DX, q_masked, out=fields[0])
-    values = columns_to_grid(fields, n, overwrite=True)
+    values = columns_to_grid(fields, n)
     qx, qy, ux, uy = values
     np.multiply(ux, qx, out=qx)  # u . grad q into the slot of qx
     np.multiply(uy, qy, out=qy)
@@ -297,7 +297,7 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     u = _velocity(grid, q, alpha, fields[2:])
     fields[:2] = helmholtz(grid, u, alpha)  # v
     energy = energy_hats(grid, u[0], u[1], alpha)
-    values = columns_to_grid(fields, grid.n, overwrite=True)
+    values = columns_to_grid(fields, grid.n)
     vx, vy, ux, uy = values
 
     energy_phys = energy_quadrature(grid, ux, uy, vx, vy)

@@ -63,8 +63,6 @@ class TorusGrid:
         Squared magnitude ``kx**2 + ky**2``.
     DX, DY : ndarray, shapes (n, 1) and (1, n), complex
         First-derivative multipliers ``i*k``, Nyquist mode zeroed; they broadcast.
-    neg_DX : ndarray, shape (n, 1), complex
-        ``-DX``, the multiplier taking the stream function to u_y.
     dealias_mask : ndarray of bool, shape (n, n)
         True iff ``|kx| < n/3`` and ``|ky| < n/3`` (2/3 rule).
     kmax_dealias : int
@@ -79,7 +77,6 @@ class TorusGrid:
     K2: np.ndarray = field(init=False, repr=False)
     DX: np.ndarray = field(init=False, repr=False)
     DY: np.ndarray = field(init=False, repr=False)
-    neg_DX: np.ndarray = field(init=False, repr=False)
     dealias_mask: np.ndarray = field(init=False, repr=False)
     kmax_dealias: int = field(init=False)
     h: float = field(init=False)
@@ -99,7 +96,6 @@ class TorusGrid:
         kd[n // 2] = 0.0
         s(self, "DX", 1j * kd[:, None])
         s(self, "DY", 1j * kd[None, :])
-        s(self, "neg_DX", -self.DX)
         cut = n / 3.0
         kept = np.abs(k1) < cut
         s(self, "dealias_mask", kept[:, None] & kept[None, :])
@@ -118,14 +114,14 @@ def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(coeffs).real
 
 
-def columns_to_grid(block: np.ndarray, n: int, overwrite: bool = False) -> np.ndarray:
+def columns_to_grid(block: np.ndarray, n: int) -> np.ndarray:
     """
     Real ``(n, n)`` samples of the fields whose spectra have the columns ky = 0..w-1
     ``block`` (last axes ``(n, w)``, w <= n/2 + 1) and zeros above: the two 1D passes
     ``irfft2(block, s=(n, n))`` makes, without its nd wrapper, so bit for bit the same.
-    ``overwrite=True`` runs the axis-0 pass in ``block``'s own memory.
+    The axis-0 pass runs in ``block``'s own memory (complex128), which it consumes.
     """
-    return np.fft.irfft(np.fft.ifft(block, axis=-2, out=block if overwrite else None), n=n, axis=-1)
+    return np.fft.irfft(np.fft.ifft(block, axis=-2, out=block), n=n, axis=-1)
 
 
 def grid_to_columns(values: np.ndarray, w: int, work: np.ndarray | None = None) -> np.ndarray:
