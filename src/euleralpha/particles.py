@@ -16,7 +16,9 @@ cos/sin rows X of kx = 0..kmax and Y of ky = 0..kmax, which come from
 powers of exp(ix) and exp(iy), one cos and one sin per coordinate. One
 evaluation of M points costs about 0.9 M n^2 real multiply-adds, in
 blocks of a fixed number of markers, so its working memory does not grow
-with M.
+with M. The block buffers live in an :class:`EvalWorkspace`, which the
+coupled integration makes once and lends to every evaluation, so that a
+step does not allocate (and fault in) fresh buffers four times.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class ParticleMap:
         return self.positions - self.ref_positions
 
 
-# markers per block of eval_velocity_at, whose buffers grow with it: 512,
-# 1024 and 2048 ran alike on the flow-map benchmark, 4096 1.3x slower
+# markers per block of eval_velocity_at, whose buffers grow with it: on the
+# flow-map benchmark, with the buffers made once per integration, blocks of
+# 1024, 2048 and 4096 ran alike (body medians 0.43, 0.44, 0.45 s) and blocks
+# of 256 slower (0.51 s)
 _BLOCK = 1024
 
 
@@ -84,15 +88,56 @@ def _coefficient_table(grid: TorusGrid, u_hats) -> np.ndarray:
     return table.reshape(4 * w, 2 * w)
 
 
+class EvalWorkspace:
+    """
+    The block buffers of :func:`eval_velocity_at` on one grid, made once.
+
+    They are flat, so that every block, the tail one too, views a
+    contiguous prefix: exp(i k x) and exp(i k y) for k = 0..kmax, their
+    cos rows over their sin rows (X over Y), the table times X, and the
+    two components (an einsum straight into the (M, 2) result ran 2-4x
+    slower). Every evaluation overwrites what it reads, so a workspace can
+    serve any number of calls on its grid with up to ``markers`` points
+    (or any number, once ``markers`` reaches ``_BLOCK``).
+
+    The workspace also keeps the coefficient table of the last velocity
+    pair it was given, so that RK4's k2 and k3, which share u(t + dt/2),
+    build it once. The pair is recognized by identity: its arrays must not
+    be changed in place while the workspace is in use.
+    """
+
+    def __init__(self, grid: TorusGrid, markers: int = _BLOCK):
+        w = grid.kmax_dealias + 1
+        b = min(_BLOCK, markers)
+        self.n, self.block = grid.n, b
+        self.powers = np.empty(2 * w * b, dtype=np.complex128)
+        self.trig = np.empty(4 * w * b)
+        self.amp = np.empty(4 * w * b)
+        self.comps = np.empty(2 * b)
+        self._fields = None
+        self._table = None
+
+    def table(self, grid: TorusGrid, u_hats) -> np.ndarray:
+        """The coefficient table of ``u_hats``, built unless it was the last pair."""
+        if u_hats is not self._fields:
+            self._table = _coefficient_table(grid, u_hats)
+            self._fields = u_hats
+        return self._table
+
+
 def eval_velocity_at(
-    grid: TorusGrid, u_hats: tuple[np.ndarray, np.ndarray], points: np.ndarray
+    grid: TorusGrid,
+    u_hats: tuple[np.ndarray, np.ndarray],
+    points: np.ndarray,
+    workspace: EvalWorkspace | None = None,
 ) -> np.ndarray:
     """
     Evaluate the velocity interpolant at arbitrary points.
 
     ``u_hats`` are the spectral coefficients of (u_x, u_y), at least their
-    columns ky = 0..kmax; ``points`` is an (M, 2) array. Returns an (M, 2)
-    array of velocities. Summation runs over the unmasked modes only.
+    columns ky = 0..kmax; ``points`` is an (M, 2) array, and any other
+    shape is a ``ValueError``. Returns an (M, 2) array of velocities.
+    Summation runs over the unmasked modes only.
 
     The coefficients must be Hermitian, ``c(-k) == conj(c(k))``, as those
     of every real field are: the sum runs over ky = 0..kmax only, with
@@ -101,30 +146,33 @@ def eval_velocity_at(
 
     The points are taken in blocks of ``_BLOCK``: per block, one real
     matrix product of the coefficient table with the cos/sin rows of x,
-    then a sum against the rows of y, all in buffers made once per call.
+    then a sum against the rows of y. The buffers come from ``workspace``,
+    which the coupled integration makes once per run; a call without one
+    makes its own. The result does not depend on the workspace or on what
+    it held before.
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"evaluation points must be an (M, 2) array, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("evaluation points must be finite")
-    w = grid.kmax_dealias + 1
-    table = _coefficient_table(grid, u_hats)
     m = points.shape[0]
+    if workspace is None:
+        workspace = EvalWorkspace(grid, m)
+    elif workspace.n != grid.n or workspace.block < min(_BLOCK, m):
+        raise ValueError(
+            f"workspace for n={workspace.n} and {workspace.block} markers per block "
+            f"cannot evaluate {m} points at n={grid.n}"
+        )
+    w = grid.kmax_dealias + 1
+    table = workspace.table(grid, u_hats)
     out = np.empty((m, 2))
-    # flat buffers, so that every block, the tail one too, views a
-    # contiguous prefix: exp(i k x) and exp(i k y) for k = 0..kmax, their
-    # cos rows over their sin rows (X over Y), the table times X, and the
-    # two components (an einsum straight into the (M, 2) result ran 4x slower)
-    b = min(_BLOCK, m)
-    powers = np.empty(2 * w * b, dtype=np.complex128)
-    trig = np.empty(4 * w * b)
-    amp = np.empty(4 * w * b)
-    comps = np.empty(2 * b)
     for start in range(0, m, _BLOCK):
         r = min(_BLOCK, m - start)
-        p = powers[: 2 * w * r].reshape(w, 2, r)
-        t = trig[: 4 * w * r].reshape(2, 2 * w, r)
-        a = amp[: 4 * w * r].reshape(4 * w, r)
-        u = comps[: 2 * r].reshape(2, r)
+        p = workspace.powers[: 2 * w * r].reshape(w, 2, r)
+        t = workspace.trig[: 4 * w * r].reshape(2, 2 * w, r)
+        a = workspace.amp[: 4 * w * r].reshape(4 * w, r)
+        u = workspace.comps[: 2 * r].reshape(2, r)
         p[0] = 1.0
         np.cos(points[start : start + r].T, out=p[1].real)
         np.sin(points[start : start + r].T, out=p[1].imag)
@@ -138,22 +186,28 @@ def eval_velocity_at(
     return out
 
 
-def advect_particles(pm: ParticleMap, state: SimState, dt: float, stages: tuple) -> ParticleMap:
+def advect_particles(
+    pm: ParticleMap, state: SimState, dt: float, stages: tuple, workspace: EvalWorkspace | None = None
+) -> ParticleMap:
     """
     One RK4 step of dx/dt = u(t, x) for every marker.
 
     ``stages`` holds the spectral velocity pairs (u_x, u_y) at t, t + dt/2
     and t + dt, as the coupled driver produces them; ``state`` supplies the
-    grid. Only the markers move.
+    grid. The four evaluations share ``workspace``'s buffers (one made for
+    this step if none is given), and k2 and k3 share u(t + dt/2)'s
+    coefficient table. Only the markers move.
     """
     grid = state.grid
     u0, u_half, u1 = stages
-
     x = pm.positions
-    k1 = eval_velocity_at(grid, u0, x)
-    k2 = eval_velocity_at(grid, u_half, x + 0.5 * dt * k1)
-    k3 = eval_velocity_at(grid, u_half, x + 0.5 * dt * k2)
-    k4 = eval_velocity_at(grid, u1, x + dt * k3)
+    if workspace is None:
+        workspace = EvalWorkspace(grid, len(x))
+
+    k1 = eval_velocity_at(grid, u0, x, workspace)
+    k2 = eval_velocity_at(grid, u_half, x + 0.5 * dt * k1, workspace)
+    k3 = eval_velocity_at(grid, u_half, x + 0.5 * dt * k2, workspace)
+    k4 = eval_velocity_at(grid, u1, x + dt * k3, workspace)
     new_pos = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return ParticleMap(m=pm.m, positions=new_pos, ref_positions=pm.ref_positions)
 
@@ -167,8 +221,10 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
     shortened. A non-finite field raises :class:`NumericsFailure` before
     the markers move; a bad dt or t_final raises ``ValueError`` as
     :func:`~euleralpha.integrators.integrate` does. Returns ``(state, pm)``
-    at t_final.
+    at t_final. Every marker step evaluates in one :class:`EvalWorkspace`.
     """
+    workspace = EvalWorkspace(state.grid, len(pm.positions))
+
     def coupled(s: SimState, step_dt: float) -> SimState:
         nonlocal pm
         half = step_rk4(s, 0.5 * step_dt)
@@ -178,7 +234,7 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
         if not np.all(np.isfinite(full.columns)):
             raise NumericsFailure(full.t)
         stages = tuple(velocity_columns(x.grid, x.columns, x.alpha) for x in (s, half, full))
-        pm = advect_particles(pm, s, step_dt, stages)
+        pm = advect_particles(pm, s, step_dt, stages, workspace)
         return full
 
     for _, state in _march(state, t_final, dt, coupled):

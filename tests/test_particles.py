@@ -3,6 +3,7 @@ Tests for the Lagrangian flow-map module: spectral off-grid evaluation,
 marker advection, and the volume-preservation diagnostic.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from euleralpha.checks import affine_jacobian_deviation
 from euleralpha.dynamics import compute_diagnostics, velocity_columns
 from euleralpha.integrators import NumericsFailure, step_rk4
 from euleralpha.particles import (
+    EvalWorkspace,
     ParticleMap,
     advect_particles,
     eval_velocity_at,
@@ -115,6 +117,27 @@ class TestEvalVelocityAt:
         with pytest.raises(ValueError):
             eval_velocity_at(grid16, hats, np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3), (0,), (2, 2, 2)])
+    def test_rejects_points_that_are_not_m_by_2(self, grid16, shape):
+        # an (M,) or (M, 1) array would broadcast into both coordinates and
+        # give wrong velocities; (M, 3) would fail deep inside numpy
+        hats = (np.zeros((16, 16), dtype=complex),) * 2
+        with pytest.raises(ValueError, match=rf"\(M, 2\) array, got shape {re.escape(str(shape))}"):
+            eval_velocity_at(grid16, hats, np.zeros(shape))
+
+    def test_no_points_give_an_empty_result(self, grid16):
+        hats = (np.zeros((16, 16), dtype=complex),) * 2
+        for ws in (None, EvalWorkspace(grid16, 0), EvalWorkspace(grid16)):
+            vals = eval_velocity_at(grid16, hats, np.zeros((0, 2)), ws)
+            assert vals.shape == (0, 2) and vals.dtype == np.float64
+
+    def test_rejects_a_workspace_that_does_not_fit(self, grid16, grid32):
+        hats = (np.zeros((16, 16), dtype=complex),) * 2
+        with pytest.raises(ValueError, match="workspace for n=32"):
+            eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid32, 4))
+        with pytest.raises(ValueError, match="3 markers per block cannot evaluate 4 points"):
+            eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid16, 3))
+
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_matches_full_spectrum_sum(self, n, alpha):
@@ -198,6 +221,33 @@ class TestAdvectParticles:
         assert pm.positions[0, 1] == pytest.approx(1.5, abs=1e-12)
         # at x = pi/2 the velocity vanishes: the marker must not move at all
         assert pm.positions[1].tolist() == pytest.approx([np.pi / 2, 1.0], abs=1e-12)
+
+    def test_four_evaluations_three_tables_one_workspace_per_step(self, grid16, monkeypatch):
+        # k2 and k3 share u(t + dt/2)'s coefficient table; all four stages
+        # evaluate in the workspace that the step was given
+        calls, tables = [], []
+        evaluate, build = particles.eval_velocity_at, particles._coefficient_table
+
+        def counting_eval(grid, u_hats, points, workspace=None):
+            calls.append(workspace)
+            return evaluate(grid, u_hats, points, workspace)
+
+        def counting_table(grid, u_hats):
+            tables.append(u_hats)
+            return build(grid, u_hats)
+
+        monkeypatch.setattr(particles, "eval_velocity_at", counting_eval)
+        monkeypatch.setattr(particles, "_coefficient_table", counting_table)
+        state = random_state(grid16, alpha=0.25, seed=4)
+        stages = tuple(velocity_columns(grid16, state.columns * f, 0.25) for f in (1.0, 1.1, 1.2))
+        pm = ParticleMap.lattice(4)
+        ws = EvalWorkspace(grid16, len(pm.positions))
+        advect_particles(pm, state, 0.05, stages, ws)
+        assert calls == [ws] * 4
+        assert tables == list(stages)
+        calls.clear()
+        advect_particles(pm, state, 0.05, stages)
+        assert len(calls) == 4 and calls[0] is not None and calls == [calls[0]] * 4
 
     def test_x_coordinates_invariant_under_shear(self, grid32):
         state = steady_shear_state(grid32)
@@ -336,6 +386,22 @@ class TestCoupledIntegration:
         out, _ = integrate_with_particles(state, ParticleMap.lattice(4), 0.13, dt=0.025)
         assert out.t == 0.13
         assert len(calls) == 12
+
+    def test_coupled_step_makes_four_evaluations_in_one_workspace(self, grid16, monkeypatch):
+        # 0.1 / 0.025: four coupled steps, four evaluations each, every one
+        # in the workspace the integration made
+        workspaces = []
+        evaluate = particles.eval_velocity_at
+
+        def counting_eval(grid, u_hats, points, workspace=None):
+            workspaces.append(workspace)
+            return evaluate(grid, u_hats, points, workspace)
+
+        monkeypatch.setattr(particles, "eval_velocity_at", counting_eval)
+        state = random_state(grid16, alpha=0.25, seed=7)
+        integrate_with_particles(state, ParticleMap.lattice(4), 0.1, dt=0.025)
+        assert len(workspaces) == 16
+        assert isinstance(workspaces[0], EvalWorkspace) and workspaces == [workspaces[0]] * 16
 
     def test_rejects_backward_target(self, grid16):
         state = random_state(grid16, alpha=0.25, seed=7).replace(t=1.0)

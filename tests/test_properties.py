@@ -35,7 +35,7 @@ from euleralpha.experiments import (
 )
 from euleralpha.integrators import SCHEMES, STEPPERS, CflViolation, step_rk4
 from euleralpha.output import read_snapshot, write_snapshot
-from euleralpha.particles import _BLOCK, eval_velocity_at
+from euleralpha.particles import _BLOCK, EvalWorkspace, eval_velocity_at
 from euleralpha.spectral import TorusGrid, dealias, l2_inner, l2_norm
 
 from conftest import (
@@ -113,6 +113,25 @@ def test_off_grid_velocity_matches_full_spectrum_sum(n, m, alpha, seed):
     vals = eval_velocity_at(grid, velocity_columns(grid, state.columns, alpha), pts)
     assert vals.shape == (m, 2) and vals.dtype == np.float64
     assert np.abs(vals - direct_velocity_sum(grid, hats, pts)).max(initial=0.0) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.integers(4, 32).map(lambda h: 2 * h),
+       st.lists(st.tuples(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
+def test_reused_workspace_gives_one_shot_results(n, calls):
+    # one workspace, its buffers poisoned with NaN, serves calls of any
+    # marker count (tail blocks and fewer than _BLOCK markers included),
+    # each on another field: nothing left from an earlier call may reach a
+    # result, which must equal that of a call with fresh buffers bit for bit
+    grid = TorusGrid(n)
+    ws = EvalWorkspace(grid, 3 * _BLOCK)
+    for buf in (ws.powers, ws.trig, ws.amp, ws.comps):
+        buf.fill(np.nan)
+    for m, seed in calls:
+        state = state_from_omega(grid, random_spectrum(grid, n // 2, seed), 0.25)
+        cols = velocity_columns(grid, state.columns, 0.25)
+        pts = np.random.default_rng(seed).uniform(-50.0, 50.0, (m, 2))
+        assert np.array_equal(eval_velocity_at(grid, cols, pts, ws), eval_velocity_at(grid, cols, pts))
 
 
 @PROPERTY
