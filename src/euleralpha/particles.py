@@ -204,12 +204,28 @@ def advect_particles(
     if workspace is None:
         workspace = EvalWorkspace(grid, len(x))
 
+    def stage(k, h):
+        # x + h k, rounded as x + (h * k), in one (M, 2) array
+        point = k * h
+        point += x
+        return point
+
     k1 = eval_velocity_at(grid, u0, x, workspace)
-    k2 = eval_velocity_at(grid, u_half, x + 0.5 * dt * k1, workspace)
-    k3 = eval_velocity_at(grid, u_half, x + 0.5 * dt * k2, workspace)
-    k4 = eval_velocity_at(grid, u1, x + dt * k3, workspace)
-    new_pos = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ParticleMap(m=pm.m, positions=new_pos, ref_positions=pm.ref_positions)
+    k2 = eval_velocity_at(grid, u_half, stage(k1, 0.5 * dt), workspace)
+    k3 = eval_velocity_at(grid, u_half, stage(k2, 0.5 * dt), workspace)
+    k4 = eval_velocity_at(grid, u1, stage(k3, dt), workspace)
+    # x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), summed in place into k2, so
+    # that the update's temporaries and the workspace, which outlives the
+    # step, do not raise its peak memory; every sum and product rounds as
+    # that expression does
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    return ParticleMap(m=pm.m, positions=k2, ref_positions=pm.ref_positions)
 
 
 def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, dt: float):

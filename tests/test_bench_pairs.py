@@ -96,7 +96,7 @@ def test_pairs_layout_and_ratios(stub_repo):
     assert done.returncode == 0, done.stderr
     result = json.loads((repo / "out.json").read_text())
     assert list(result)[:3] == ["what", "command", "pairs"]
-    assert result["command"] == "python3 perfbench/run.py --workload all --seed 7 --seconds 40"
+    assert result["command"] == "python3 perfbench/run.py --workload all --seed 7"
     assert result["pairs"] == 3
     assert result["pair_order"] == ["parent first", "change first", "parent first"]
     assert result["revisions"] == {
@@ -122,9 +122,9 @@ def test_pairs_layout_and_ratios(stub_repo):
 
 
 def test_section_and_fault_probe(stub_repo):
-    repo, parent, change = stub_repo
+    repo, parent, _ = stub_repo
     (repo / "out.json").write_text(json.dumps({"what": "kept"}))
-    done = _bench(repo, parent, "--change", change, "--workload", "wl_a", "--pairs", "1",
+    done = _bench(repo, parent, "--workload", "wl_a", "--pairs", "1",
                   "--faults", "2", "--out", "out.json", "--section", "recheck")
     assert done.returncode == 0, done.stderr
     result = json.loads((repo / "out.json").read_text())

@@ -249,6 +249,21 @@ class TestAdvectParticles:
         advect_particles(pm, state, 0.05, stages)
         assert len(calls) == 4 and calls[0] is not None and calls == [calls[0]] * 4
 
+    def test_step_is_the_rk4_expression_bit_for_bit(self, grid32):
+        # the in-place stage points and update round as the textbook RK4
+        # expression does
+        state = random_state(grid32, alpha=0.25, seed=8)
+        stages = tuple(velocity_columns(grid32, state.columns * f, 0.25) for f in (1.0, 1.1, 1.2))
+        pm = ParticleMap.lattice(40)
+        x, dt = pm.positions, 0.07
+        u0, uh, u1 = stages
+        k1 = eval_velocity_at(grid32, u0, x)
+        k2 = eval_velocity_at(grid32, uh, x + 0.5 * dt * k1)
+        k3 = eval_velocity_at(grid32, uh, x + 0.5 * dt * k2)
+        k4 = eval_velocity_at(grid32, u1, x + dt * k3)
+        expected = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(advect_particles(pm, state, dt, stages).positions, expected)
+
     def test_x_coordinates_invariant_under_shear(self, grid32):
         state = steady_shear_state(grid32)
         pm = ParticleMap.lattice(4)

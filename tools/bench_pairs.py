@@ -5,11 +5,10 @@ Alternating parent/change pairs of the benchmark, written as ``BENCH_*.json``.
     python3 tools/bench_pairs.py <parent-rev> --workload flowmap_m128 --seed 7 \\
         --out BENCH_20.json --section seed_7_flowmap_m128 --faults 8
 
-Run it inside the git repository. Both revisions (the change defaults to
-``HEAD``) are extracted with ``git archive`` into a scratch directory, so
-that each side runs from a plain directory of its committed files, as the
-benchmark's own comparison does, and the repository itself is left as it
-was. Pair i runs ``perfbench/run.py`` once per side, the parent first in
+Run it inside the git repository. The parent revision and ``HEAD`` are
+extracted with ``git archive`` into a scratch directory, so that each side
+runs from a plain directory of its committed files, as the benchmark's own
+comparison does, and the repository itself is left as it was. Pair i runs ``perfbench/run.py`` once per side, the parent first in
 even pairs and the change first in odd ones.
 
 The result keeps the layout of the committed ``BENCH_*.json`` files: the
@@ -78,10 +77,9 @@ def extract(repo: Path, commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: its result line and its ``# env`` line."""
-    cmd = [sys.executable, RUNNER, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+    cmd = [sys.executable, RUNNER, "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
@@ -136,10 +134,10 @@ def body_faults(checkout: Path, workload: str, seed: int, bodies: int) -> dict:
     }
 
 
-def bench(repo: Path, parent_rev: str, change_rev: str, workload: str, pairs: int, seed: int,
-          seconds: float, faults: int, scratch: Path) -> dict:
+def bench(repo: Path, parent_rev: str, workload: str, pairs: int, seed: int, faults: int,
+          scratch: Path) -> dict:
     commits = {"parent": _git(repo, "rev-parse", f"{parent_rev}^{{commit}}"),
-               "change": _git(repo, "rev-parse", f"{change_rev}^{{commit}}")}
+               "change": _git(repo, "rev-parse", "HEAD")}
     checkouts = {side: scratch / side for side in commits}
     for side, commit in commits.items():
         extract(repo, commit, checkouts[side])
@@ -150,7 +148,7 @@ def bench(repo: Path, parent_rev: str, change_rev: str, workload: str, pairs: in
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(f"{sides[0]} first")
         for side in sides:
-            runs[side].append(run_side(checkouts[side], workload, seed, seconds))
+            runs[side].append(run_side(checkouts[side], workload, seed))
             print(f"pair {i + 1}/{pairs} {side} done", file=sys.stderr, flush=True)
 
     better = {}
@@ -159,7 +157,7 @@ def bench(repo: Path, parent_rev: str, change_rev: str, workload: str, pairs: in
         better = {m["name"]: m["better"] for m in json.loads(benchmark.read_text())["end_to_end"]}
     env = {side: runs[side][0]["env"] for side in runs}
     out = {
-        "command": f"python3 {RUNNER} --workload {workload} --seed {seed} --seconds {seconds:g}",
+        "command": f"python3 {RUNNER} --workload {workload} --seed {seed}",
         "pairs": pairs,
         "pair_order": order,
         "machine": {k: (env["change"] or {}).get(k) for k in ("nproc", "cpu_model", "python", "numpy",
@@ -186,11 +184,9 @@ def bench(repo: Path, parent_rev: str, change_rev: str, workload: str, pairs: in
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the parent revision")
-    parser.add_argument("--change", default="HEAD", help="the changed revision (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument("--workload", default="all")
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--faults", type=int, default=0, metavar="N",
                         help="bodies per side and workload in a page-fault probe (default none)")
     parser.add_argument("--out", type=Path, required=True)
@@ -204,8 +200,7 @@ def main(argv=None) -> int:
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.scratch))
     try:
-        result = bench(repo, args.parent, args.change, args.workload, args.pairs, args.seed,
-                       args.seconds, args.faults, scratch)
+        result = bench(repo, args.parent, args.workload, args.pairs, args.seed, args.faults, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     if args.what:
