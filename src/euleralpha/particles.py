@@ -106,7 +106,7 @@ class EvalWorkspace:
     be changed in place while the workspace is in use.
     """
 
-    def __init__(self, grid: TorusGrid, markers: int = _BLOCK):
+    def __init__(self, grid: TorusGrid, markers: int):
         w = grid.kmax_dealias + 1
         b = min(_BLOCK, markers)
         self.n, self.block = grid.n, b

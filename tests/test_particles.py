@@ -127,7 +127,7 @@ class TestEvalVelocityAt:
 
     def test_no_points_give_an_empty_result(self, grid16):
         hats = (np.zeros((16, 16), dtype=complex),) * 2
-        for ws in (None, EvalWorkspace(grid16, 0), EvalWorkspace(grid16)):
+        for ws in (None, EvalWorkspace(grid16, 0), EvalWorkspace(grid16, 5 * B)):
             vals = eval_velocity_at(grid16, hats, np.zeros((0, 2)), ws)
             assert vals.shape == (0, 2) and vals.dtype == np.float64
 
