@@ -1,15 +1,16 @@
 """
 Alternating parent/change pairs of the benchmark, written as ``BENCH_*.json``.
 
-    python3 tools/bench_pairs.py <parent-rev> --out BENCH_20.json
+    python3 tools/bench_pairs.py <parent-rev> --out BENCH_<n>.json
     python3 tools/bench_pairs.py <parent-rev> --workload flowmap_m128 --seed 7 \\
-        --out BENCH_20.json --section seed_7_flowmap_m128 --faults 8
+        --out BENCH_<n>.json --section seed_7_flowmap_m128 --faults 8
 
 Run it inside the git repository. The parent revision and ``HEAD`` are
 extracted with ``git archive`` into a scratch directory, so that each side
 runs from a plain directory of its committed files, as the benchmark's own
-comparison does, and the repository itself is left as it was. Pair i runs ``perfbench/run.py`` once per side, the parent first in
-even pairs and the change first in odd ones.
+comparison does, and the repository itself is left as it was. Pair i runs
+``perfbench/run.py`` once per side, the parent first in even pairs and the
+change first in odd ones.
 
 The result keeps the layout of the committed ``BENCH_*.json`` files: the
 pair order, the machine and each side's ``# env`` line, the commits with
