@@ -38,14 +38,12 @@ same columns. The full spectrum, :attr:`SimState.q_hat`, is built on demand.
 The RHS is one pass over the block. Every retained column has ky <= kmax <
 n/3, so there the 2/3 mask is the row mask |kx| < n/3, ``dealias_mask[:, :1]``,
 applied to the input and, in place, to the output. The four spectra
-(dx q, dy q, u_x, u_y) are written into one buffer; the inverse transform's
-axis-0 pass runs in it, u . grad q is summed into the slot of dx q, and the
-forward axis-1 pass writes over the spent buffer, so the pass allocates the
-four spectra, the four grid fields and its result, and its operations are
-those of the separate multiplies, bit for bit. The max speed is the max of
-u_x^2 + u_y^2, with ``hypot`` only at the points within 1e-12 of it (every
-point when that max is not a finite normal number): the value of
-``hypot(u_x, u_y).max()`` without its cost at every point.
+(dx q, dy q, u_x, u_y) go into one buffer, which ``spectral.grid_pass`` turns
+into grid rows a block at a time; u . grad q is summed into the slot of dx q.
+So no whole grid field is held, and every operation is that of separate
+multiplies, bit for bit. The max speed is the max of u_x^2 + u_y^2, with
+``hypot`` only at the points within 1e-12 of it (at every point when that max
+is not a finite normal number): ``hypot(u_x, u_y).max()`` without its cost.
 """
 
 from __future__ import annotations
@@ -57,11 +55,10 @@ import numpy as np
 
 from .spectral import (
     TorusGrid,
-    columns_to_grid,
     ddx,
     ddy,
     dealias,
-    grid_to_columns,
+    grid_pass,
     helmholtz,
     integral,
     inverse_helmholtz,
@@ -139,24 +136,25 @@ def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray
     return inverse_helmholtz(grid, q_hat, alpha)
 
 
-def _velocity(grid: TorusGrid, q: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
-    """Write the spectral (u_x, u_y) = (dy psi, -dx psi) of the retained block ``q`` into ``out``."""
+def vorticity_values(state: SimState) -> np.ndarray:
+    """The grid vorticity, ``ifft2(omega_from_q(...)).real`` bit for bit, formed in a fresh q_hat."""
+    w_hat = state.q_hat
+    np.divide(w_hat, 1.0 + state.alpha**2 * state.grid.K2, out=w_hat)
+    np.fft.ifft(w_hat, axis=1, out=w_hat)
+    return np.fft.ifft(w_hat, axis=0, out=w_hat).real
+
+
+def velocity_columns(grid: TorusGrid, q: np.ndarray, alpha: float, out=None) -> np.ndarray:
+    """Stacked spectral (u_x, u_y) = (dy psi, -dx psi) on the retained block ``q``, in ``out``."""
+    out = np.empty((2, *q.shape), dtype=complex) if out is None else out
     psi = np.multiply(q, rhs_factors(grid, alpha)[0], out=out[1])
     np.multiply(grid.DY[:, : q.shape[1]], psi, out=out[0])
     np.multiply(-grid.DX, psi, out=out[1])
     return out
 
 
-def velocity_columns(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
-    """Stacked spectral (u_x, u_y) on the retained block ``q`` of a Hermitian q_hat."""
-    return _velocity(grid, q, alpha, np.empty((2, *q.shape), dtype=complex))
-
-
-def _rhs_and_velocity(state: SimState, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """
-    The block of :func:`rhs_columns` and the ``(4, n, n)`` grid fields the pass leaves:
-    ``[2:]`` the velocity (u_x, u_y) it transports with, ``[:2]`` free for reuse.
-    """
+def _rhs(state: SimState, q: np.ndarray, speed: bool) -> tuple[np.ndarray, float | None]:
+    """The block of :func:`rhs_columns`, and if ``speed`` the max |u| it transports with."""
     grid = state.grid
     n, w = grid.n, grid.kmax_dealias + 1
     if q.shape != (n, w):
@@ -164,43 +162,49 @@ def _rhs_and_velocity(state: SimState, q: np.ndarray) -> tuple[np.ndarray, np.nd
     rows = grid.dealias_mask[:, :1]  # the 2/3 mask on the block
     fields = np.empty((4, n, w), dtype=complex)
     q_masked = np.multiply(q, rows, out=fields[0])  # dx q is formed over it last
-    _velocity(grid, q_masked, state.alpha, fields[2:])
+    velocity_columns(grid, q_masked, state.alpha, fields[2:])
     np.multiply(grid.DY[:, :w], q_masked, out=fields[1])
-    viscous = None
-    if state.nu != 0.0:
-        viscous = (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked
+    viscous = (state.nu * rhs_factors(grid, state.alpha)[1]) * q_masked if state.nu else None
     np.multiply(grid.DX, q_masked, out=fields[0])
-    values = columns_to_grid(fields, n)
-    qx, qy, ux, uy = values
-    np.multiply(ux, qx, out=qx)  # u . grad q into the slot of qx
-    np.multiply(uy, qy, out=qy)
-    out = grid_to_columns(np.add(qx, qy, out=qx), w, work=fields)
+    peaks = []
+
+    def advect(values):
+        qx, qy, ux, uy = values
+        np.multiply(ux, qx, out=qx)  # u . grad q into the slot of qx
+        np.multiply(uy, qy, out=qy)
+        np.add(qx, qy, out=qx)
+        if speed:
+            peaks.append(_max_speed(ux, uy, qy))
+        return values[:1]
+
+    out = grid_pass(fields, advect)[0]
     np.multiply(out, rows, out=out)
     np.negative(out, out=out)
     if viscous is not None:
         out -= viscous
     out[0, 0] = 0.0
-    return out, values
+    return out, _peak(peaks) if speed else None
 
 
-def _max_speed(values: np.ndarray) -> float:
+def _max_speed(ux: np.ndarray, uy: np.ndarray, square: np.ndarray) -> float:
     """
-    max |u| of the grid fields ``values`` = (free, free, u_x, u_y), equal to
-    ``float(np.hypot(u_x, u_y).max())``: the max of u_x^2 + u_y^2, formed in the free
-    slots, then ``hypot`` only where that sum is within 1e-12 of it. The sum is within
-    a few ulps of |u|^2, so the points it leaves out are not the max; when its max is
-    not a finite normal number (overflow, underflow, NaN), ``hypot`` takes every point.
+    ``float(np.hypot(ux, uy).max())`` from the max of ux^2 + uy^2, formed in the free array
+    ``square``: that sum is within a few ulps of |u|^2, so ``hypot`` takes only the points
+    within 1e-12 of its max, or every point if that max is not a finite normal number.
     """
-    ux, uy = values[2], values[3]
-    square = values[0]
     with np.errstate(over="ignore", under="ignore"):
         np.multiply(ux, ux, out=square)
-        square += np.multiply(uy, uy, out=values[1])
+        square += uy * uy
     peak = square.max()
     if not (np.isfinite(peak) and peak >= np.finfo(np.float64).tiny):
         return float(np.hypot(ux, uy).max())
     near = square >= peak * (1.0 - 1e-12)
     return float(np.hypot(ux[near], uy[near]).max())
+
+
+def _peak(peaks: list[float]) -> float:
+    """The max of the blocks' max speeds, NaN if one is, as one max over the grid gives."""
+    return peaks[0] if len(peaks) == 1 else float(np.max(peaks))
 
 
 def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
@@ -211,13 +215,12 @@ def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
     Hermitian spectrum (the grid, alpha and nu come from ``state``); the
     result is the same block of dq_hat/dt, mean mode pinned to 0.
     """
-    return _rhs_and_velocity(state, q)[0]
+    return _rhs(state, q, speed=False)[0]
 
 
 def rhs_columns_and_speed(state: SimState, q: np.ndarray) -> tuple[np.ndarray, float]:
     """:func:`rhs_columns` and the max pointwise |u| of the velocity it transports with."""
-    out, values = _rhs_and_velocity(state, q)
-    return out, _max_speed(values)
+    return _rhs(state, q, speed=True)
 
 
 def leray_project_hats(
@@ -246,7 +249,7 @@ def ad_star_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     Spectral ad*_u u for the state's velocity, on the retained columns ky = 0..kmax.
 
     Computes m = (u.grad) v - alpha^2 (grad u)^T . Lap u pointwise from
-    dealiased factors (one batched inverse transform), dealiases m, then
+    dealiased factors (one :func:`~euleralpha.spectral.grid_pass`), dealiases m, then
     applies the Leray projection and the inverse Helmholtz filter. The two
     operators are both Fourier multipliers on the torus, so the application
     order is immaterial.
@@ -257,12 +260,17 @@ def ad_star_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     factors = [u, ddx(grid, u), ddy(grid, u), ddx(grid, v), ddy(grid, v)]
     if alpha != 0.0:
         factors.append(laplacian(grid, u))
-    fields = columns_to_grid(np.stack(factors), grid.n)
-    (ux, uy), grad_u, grad_v = fields[0], fields[1:3], fields[3:5]  # grad_u[j, c] = d_j u_c
-    m = ux * grad_v[0] + uy * grad_v[1]
-    if alpha != 0.0:
-        m -= alpha**2 * (grad_u * fields[5]).sum(axis=1)
-    mx_hat, my_hat = dealias(grid, grid_to_columns(m, grid.kmax_dealias + 1))
+
+    def product(values):
+        fields = values.reshape(len(factors), 2, *values.shape[1:])
+        (ux, uy), grad_u, grad_v = fields[0], fields[1:3], fields[3:5]  # grad_u[j, c] = d_j u_c
+        m = ux * grad_v[0] + uy * grad_v[1]
+        if alpha != 0.0:
+            m -= alpha**2 * (grad_u * fields[5]).sum(axis=1)
+        return m
+
+    spectra = np.stack(factors).reshape(-1, *u.shape[1:])
+    mx_hat, my_hat = dealias(grid, grid_pass(spectra, product))
     mx_hat, my_hat = leray_project_hats(grid, mx_hat, my_hat)
     return inverse_helmholtz(grid, mx_hat, alpha), inverse_helmholtz(grid, my_hat, alpha)
 
@@ -288,19 +296,24 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     """
     Evaluate all diagnostics by exact spectral quadrature on the retained columns.
 
-    The energy is computed both spectrally and by physical-space
-    quadrature; disagreement beyond 1e-11 relative indicates a corrupted
-    state and raises.
+    The energy is computed both spectrally and by physical-space quadrature over
+    the blocks of one grid pass, which also gives max |u|; disagreement beyond
+    1e-11 relative indicates a corrupted state and raises.
     """
     grid, alpha, q = state.grid, state.alpha, state.columns
     fields = np.empty((4, *q.shape), dtype=complex)
-    u = _velocity(grid, q, alpha, fields[2:])
+    u = velocity_columns(grid, q, alpha, fields[2:])
     fields[:2] = helmholtz(grid, u, alpha)  # v
     energy = energy_hats(grid, u[0], u[1], alpha)
-    values = columns_to_grid(fields, grid.n)
-    vx, vy, ux, uy = values
+    partials, peaks = [], []
 
-    energy_phys = energy_quadrature(grid, ux, uy, vx, vy)
+    def quadrature(values):
+        vx, vy, ux, uy = values
+        partials.append(energy_quadrature(grid, ux, uy, vx, vy))
+        peaks.append(_max_speed(ux, uy, vx))  # vx read above
+
+    grid_pass(fields, quadrature)
+    energy_phys = sum(partials)
     scale = max(abs(energy), abs(energy_phys), 1e-300)
     if abs(energy - energy_phys) > _ENERGY_QUADRATURE_RTOL * scale and scale > 1e-30:
         raise FloatingPointError(
@@ -311,7 +324,7 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     mean_q = integral(grid, q)
     casimir2 = l2_inner(grid, q, q)
     enstrophy = l2_inner(grid, omega, omega)
-    umax = _max_speed(values)  # over vx, vy, read above
+    umax = _peak(peaks)
     return Diagnostics(
         t=state.t,
         energy=energy,

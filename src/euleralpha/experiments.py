@@ -34,19 +34,22 @@ from .dynamics import (
     SimState,
     compute_diagnostics,
     energy_hats,
-    omega_from_q,
     state_from_omega,
     velocity_columns,
+    vorticity_values,
 )
 from .integrators import SCHEMES, CflViolation, NumericsFailure, advance, integrate
 from .output import DiagnosticsLog, snapshot_name, write_manifest, write_snapshot
-from .spectral import TorusGrid, _ifft_real, forward_transform, l2_norm
+from .spectral import TorusGrid, forward_transform, l2_norm
 
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
 #: largest accepted grid size: by arithmetic, at n = 4096 one grid and one state take
 #: about 0.31 GiB (K2 128 MiB, dealias mask 16 MiB, rhs_factors 85 MiB, state 85 MiB)
 MAX_N = 4096
+
+#: largest accepted step count t_final / dt, compared as floats (an overflow is inf)
+MAX_STEPS = 1e8
 
 
 class ConfigError(ValueError):
@@ -104,6 +107,9 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_final < 0:
             raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
+        if self.t_final / self.dt > MAX_STEPS:
+            raise ConfigError(f"t_final / dt = {self.t_final / self.dt:.6g} steps exceeds "
+                              f"the cap of {MAX_STEPS:g} steps")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.ic not in IC_NAMES:
@@ -317,9 +323,8 @@ def run(cfg: RunConfig, omega_hat: Optional[np.ndarray] = None) -> SimState:
             if step % cfg.diag_every == 0 or last:
                 log.rows.append(compute_diagnostics(state, cfg.dt))
             if step % cfg.save_every == 0 or last:
-                omega = _ifft_real(omega_from_q(grid, state.q_hat, state.alpha))
                 write_snapshot(out_dir / snapshot_name(step), grid.n, state.alpha, state.nu,
-                               state.t, omega)
+                               state.t, vorticity_values(state))
     except (CflViolation, NumericsFailure, FloatingPointError) as exc:
         # a FloatingPointError carries no time: it came from the last state
         failed_at_t = getattr(exc, "t", state.t)
@@ -376,7 +381,7 @@ def _terminal_q(cfg: RunConfig, omega_hat: np.ndarray) -> np.ndarray:
 
 def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, workers: int):
     """
-    Check every member's initial state, then run them; a failure aborts the rest, labeled.
+    Check each member's config and initial state, then run them; a labeled failure aborts the rest.
 
     A pool takes the members longest first (most steps t_final / dt, equal lengths in list
     order: Graham's LPT rule), so that the sweep ends with its longest member. The first
@@ -393,6 +398,7 @@ def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, worker
                 raise
         return out
 
+    _collect(zip(labels, (c.validate for c in configs)))
     _collect(zip(labels, (functools.partial(_initial_state, c, grid, omega_hat) for c in configs)))
     if workers <= 1:
         return _collect(zip(labels, (functools.partial(_terminal_q, c, omega_hat)
@@ -419,7 +425,9 @@ def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> floa
     return math.sqrt(2.0 * energy_hats(grid, ux, uy, weight_alpha))
 
 
-def _finite_list(name: str, values: Sequence[float]) -> tuple:
+def _sweep_values(cfg: RunConfig, name: str, values: Sequence[float]) -> tuple:
+    """``values`` as floats once ``cfg`` is valid; ConfigError unless every one is finite."""
+    cfg.validate()
     values = tuple(float(v) for v in values)
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{name} entries must be finite, got {values}")
@@ -459,8 +467,7 @@ def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> Swee
     Vanishing-viscosity sweep: distance of each viscous terminal state to
     the inviscid (nu = 0) reference from the identical initial condition.
     """
-    cfg.validate()
-    nu_list = _finite_list("nu_list", nu_list)
+    nu_list = _sweep_values(cfg, "nu_list", nu_list)
     if not nu_list or any(v <= 0 for v in nu_list):
         raise ConfigError("nu_list must be non-empty and positive")
     if any(b >= a for a, b in zip(nu_list, nu_list[1:])):
@@ -476,8 +483,7 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
     inviscid, from the identical initial velocity field. Each member forms
     its own q0 = (1 - alpha^2 Lap) omega0 from the shared omega0.
     """
-    cfg.validate()
-    alpha_list = _finite_list("alpha_list", alpha_list)
+    alpha_list = _sweep_values(cfg, "alpha_list", alpha_list)
     if not alpha_list or any(v < 0 for v in alpha_list):
         raise ConfigError("alpha_list must be non-empty and >= 0")
     for v in alpha_list:
@@ -498,8 +504,7 @@ def splitting_order_study(
     Observed convergence orders of the product-formula steppers (and RK4
     self-convergence) against an RK4 reference at min(dt_list)/16.
     """
-    cfg.validate()
-    dt_list = _finite_list("dt_list", dt_list)
+    dt_list = _sweep_values(cfg, "dt_list", dt_list)
     if len(dt_list) < 3 or any(v <= 0 for v in dt_list):
         raise ConfigError("dt_list needs at least 3 positive entries")
     for a, b in zip(dt_list, dt_list[1:]):

@@ -75,7 +75,8 @@ def _rk4(state: SimState, dt: float) -> np.ndarray:
     :class:`CflViolation`, before the second stage, if the first stage's CFL number is too large.
 
     The stage inputs q + c k share one buffer, and the update is summed into k1's
-    array, in the order q + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+    array, in the order q + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); k2 and k3 are summed
+    before the last stage's RHS, so that only the sum and the stage stay alive in it.
     """
     q = state.columns
     k1, speed = rhs_columns_and_speed(state, q)
@@ -84,15 +85,16 @@ def _rk4(state: SimState, dt: float) -> np.ndarray:
         raise CflViolation(cfl, CFL_LIMIT, state.t)
     stage = np.empty_like(q)
 
-    def rhs_at(c: float, k: np.ndarray) -> np.ndarray:
-        return rhs_columns(state, np.add(q, np.multiply(c, k, out=stage), out=stage))
+    def at(c: float, k: np.ndarray) -> np.ndarray:
+        return np.add(q, np.multiply(c, k, out=stage), out=stage)
 
-    k2 = rhs_at(0.5 * dt, k1)
-    k3 = rhs_at(0.5 * dt, k2)
-    k4 = rhs_at(dt, k3)
+    k2 = rhs_columns(state, at(0.5 * dt, k1))
+    k3 = rhs_columns(state, at(0.5 * dt, k2))
     total = np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+    at(dt, k3)
     total += np.multiply(2.0, k3, out=k3)
-    total += k4
+    del k2, k3
+    total += rhs_columns(state, stage)
     total *= dt / 6.0
     q_new = np.add(q, total, out=total)
     q_new[0, 0] = 0.0

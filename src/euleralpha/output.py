@@ -58,7 +58,7 @@ def write_snapshot(path, n: int, alpha: float, nu: float, time: float, omega: np
     with open(path, "wb") as f:
         f.write(SNAPSHOT_MAGIC)
         f.write(_HEADER.pack(n, alpha, nu, time))
-        f.write(omega.tobytes())  # [ix, iy] C-order: rows over x, y fastest
+        f.write(omega)  # [ix, iy] C-order: rows over x, y fastest
 
 
 def read_snapshot(path) -> Snapshot:

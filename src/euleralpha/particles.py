@@ -98,12 +98,9 @@ class EvalWorkspace:
     two components (an einsum straight into the (M, 2) result ran 2-4x
     slower). Every evaluation overwrites what it reads, so a workspace can
     serve any number of calls on its grid with up to ``markers`` points
-    (or any number, once ``markers`` reaches ``_BLOCK``).
-
-    The workspace also keeps the coefficient table of the last velocity
-    pair it was given, so that RK4's k2 and k3, which share u(t + dt/2),
-    build it once. The pair is recognized by identity: its arrays must not
-    be changed in place while the workspace is in use.
+    (or any number, once ``markers`` reaches ``_BLOCK``). It holds only
+    buffers: every call builds the coefficient table of the fields it is
+    given.
     """
 
     def __init__(self, grid: TorusGrid, markers: int):
@@ -114,15 +111,6 @@ class EvalWorkspace:
         self.trig = np.empty(4 * w * b)
         self.amp = np.empty(4 * w * b)
         self.comps = np.empty(2 * b)
-        self._fields = None
-        self._table = None
-
-    def table(self, grid: TorusGrid, u_hats) -> np.ndarray:
-        """The coefficient table of ``u_hats``, built unless it was the last pair."""
-        if u_hats is not self._fields:
-            self._table = _coefficient_table(grid, u_hats)
-            self._fields = u_hats
-        return self._table
 
 
 def eval_velocity_at(
@@ -165,7 +153,7 @@ def eval_velocity_at(
             f"cannot evaluate {m} points at n={grid.n}"
         )
     w = grid.kmax_dealias + 1
-    table = workspace.table(grid, u_hats)
+    table = _coefficient_table(grid, u_hats)
     out = np.empty((m, 2))
     for start in range(0, m, _BLOCK):
         r = min(_BLOCK, m - start)
@@ -195,8 +183,7 @@ def advect_particles(
     ``stages`` holds the spectral velocity pairs (u_x, u_y) at t, t + dt/2
     and t + dt, as the coupled driver produces them; ``state`` supplies the
     grid. The four evaluations share ``workspace``'s buffers (one made for
-    this step if none is given), and k2 and k3 share u(t + dt/2)'s
-    coefficient table. Only the markers move.
+    this step if none is given). Only the markers move.
     """
     grid = state.grid
     u0, u_half, u1 = stages

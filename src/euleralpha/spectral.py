@@ -109,32 +109,43 @@ def forward_transform(values: np.ndarray) -> np.ndarray:
     return np.fft.fft2(np.asarray(values, dtype=np.float64))
 
 
-def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
-    # inverse of a full Hermitian spectrum, for the snapshots and the checks
-    return np.fft.ifft2(coeffs).real
+#: float64 samples in one block of :func:`grid_pass`, 1 MiB (measured in the README);
+#: four fields of n <= 181 make one block
+_BLOCK_SAMPLES = 1 << 17
 
 
-def columns_to_grid(block: np.ndarray, n: int) -> np.ndarray:
+def grid_pass(spectra: np.ndarray, pointwise) -> np.ndarray | None:
     """
-    Real ``(n, n)`` samples of the fields whose spectra have the columns ky = 0..w-1
-    ``block`` (last axes ``(n, w)``, w <= n/2 + 1) and zeros above: the two 1D passes
-    ``irfft2(block, s=(n, n))`` makes, without its nd wrapper, so bit for bit the same.
-    The axis-0 pass runs in ``block``'s own memory (complex128), which it consumes.
+    Hand the grid fields of ``spectra``, the ``(c, n, w)`` columns ky < w <= n/2 + 1 of
+    c real fields' spectra, to ``pointwise`` a block of rows at a time, and return the
+    columns ky < w of the spectra of the ``(k, rows, n)`` fields it returns (None if none).
+    The axis-0 ``ifft`` runs in ``spectra``, which the pass consumes; per block of at
+    most ``_BLOCK_SAMPLES`` samples ``irfft`` fills one reused buffer, the product's
+    ``rfft`` columns go into the spent rows of ``spectra[:k]``, and one axis-0 ``fft``
+    ends the pass: the 1D passes of ``irfft2`` and ``rfft2``, bit for bit in any blocking.
     """
-    return np.fft.irfft(np.fft.ifft(block, axis=-2, out=block), n=n, axis=-1)
-
-
-def grid_to_columns(values: np.ndarray, w: int, work: np.ndarray | None = None) -> np.ndarray:
-    """
-    The columns ky = 0..w-1 of the real grid fields' spectra, ``rfft2(values)[..., :w]``
-    bit for bit, with the axis-0 pass on those w columns only. A contiguous complex
-    ``work`` array of at least as many entries as ``rfft(values)`` holds the axis-1 pass.
-    """
-    half = None
-    if work is not None:
-        shape = (*values.shape[:-1], values.shape[-1] // 2 + 1)
-        half = work.reshape(-1)[: math.prod(shape)].reshape(shape)
-    return np.fft.fft(np.fft.rfft(values, out=half)[..., :w], axis=-2)
+    c, n, w = spectra.shape
+    rows = max(1, _BLOCK_SAMPLES // (c * n))
+    np.fft.ifft(spectra, axis=1, out=spectra)
+    if rows >= n:
+        # one block, an unblocked pass's calls: rfft writes into the spent spectra if it fits
+        product = pointwise(np.fft.irfft(spectra, n=n, axis=2))
+        if product is None:
+            return None
+        shape = (len(product), n, n // 2 + 1)
+        spent = spectra.reshape(-1)[: math.prod(shape)]
+        spent = spent.reshape(shape) if spent.size == math.prod(shape) else None
+        return np.fft.fft(np.fft.rfft(product, out=spent)[..., :w], axis=1)
+    values = np.empty((c, rows, n))
+    half = product = None
+    for start in range(0, n, rows):
+        r = min(rows, n - start)
+        product = pointwise(np.fft.irfft(spectra[:, start : start + r], n=n, axis=2,
+                                         out=values[:, :r]))
+        if product is not None:  # the first rfft makes the buffer the later ones reuse
+            half = np.fft.rfft(product, out=None if half is None else half[:, :r])
+            spectra[: len(product), start : start + r] = half[..., :w]
+    return None if product is None else np.fft.fft(spectra[: len(product)], axis=1)
 
 
 def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:

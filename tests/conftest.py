@@ -18,8 +18,6 @@ from euleralpha.integrators import diffusion_semigroup
 from euleralpha.particles import ParticleMap, jacobian_determinant
 from euleralpha.spectral import (
     TorusGrid,
-    _ifft_real,
-    columns_to_grid,
     ddx,
     ddy,
     dealias,
@@ -37,6 +35,11 @@ _HERMITIAN_RTOL = 1e-9
 
 #: tolerance of the stream-function solve's mean check (relative to the field magnitude)
 _MEAN_RTOL = 1e-9
+
+
+def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
+    """The real inverse of a full spectrum, which it leaves as it was."""
+    return np.fft.ifft2(coeffs).real
 
 
 def mesh(grid: TorusGrid) -> list[np.ndarray]:
@@ -167,13 +170,13 @@ def full_rhs(state: SimState) -> np.ndarray:
 
 def max_speed(state: SimState) -> float:
     """
-    Max pointwise |u| of the velocity of the state's retained columns, on the
-    solver's 1D passes, which pad the columns above kmax with zeros. On a dealiased
-    state it is the speed ``rhs_columns_and_speed`` reports, the one the steppers'
-    CFL check reads.
+    Max pointwise |u| of the velocity of the state's retained columns, by ``irfft2``,
+    which pads the columns above kmax with zeros. On a dealiased state it is the speed
+    ``rhs_columns_and_speed`` reports, the one the steppers' CFL check reads.
     """
+    n = state.grid.n
     u = velocity_columns(state.grid, state.columns, state.alpha)
-    return float(np.hypot(*columns_to_grid(u, state.grid.n)).max())
+    return float(np.hypot(*np.fft.irfft2(u, s=(n, n))).max())
 
 
 def direct_max_speed(state: SimState) -> float:
@@ -237,7 +240,7 @@ def half_fields(grid: TorusGrid, q: np.ndarray, alpha: float) -> np.ndarray:
 
 def nd_rhs_and_velocity(state: SimState, q: np.ndarray):
     """
-    Oracle for ``dynamics._rhs_and_velocity``: its body through numpy's nd
+    Oracle for ``dynamics.rhs_columns_and_speed``: its body through numpy's nd
     transforms, one batched ``irfft2`` of the four fields and an ``rfft2`` of
     their product sliced to the block, which the 1D passes must equal bit for bit.
     """

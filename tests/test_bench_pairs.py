@@ -134,8 +134,13 @@ def test_section_and_fault_probe(stub_repo):
     assert set(recheck["workloads"]) == {"wl_a"}
     faults = recheck["body_faults"]["wl_a"]
     assert len(faults["parent"]["minor_faults"]) == 2 == len(faults["change"]["body_s"])
-    # the change's body touches 16 MiB, 4096 pages, the parent's one byte
+    # the change's body touches 16 MiB, 4096 pages, the parent's one byte; the peak
+    # RSS after each body is recorded in MiB and carries the 16 MiB
     assert faults["change"]["median_minor_faults"] >= 4096 > faults["parent"]["median_minor_faults"]
+    parent_rss, change_rss = faults["parent"]["max_rss_mib"], faults["change"]["max_rss_mib"]
+    assert len(parent_rss) == 2 == len(change_rss) and parent_rss[0] > 0.0
+    assert parent_rss == sorted(parent_rss) and change_rss == sorted(change_rss)
+    assert min(change_rss) >= max(parent_rss) + 12.0
 
 
 def test_failed_run_stops_the_tool(stub_repo):

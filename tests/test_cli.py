@@ -135,6 +135,14 @@ class TestRunCommand:
                                 tmp_path, monkeypatch, capsys)
         assert "size cap" in err
 
+    def test_step_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # 1e303 steps: rejected by validation, before any grid, step or file
+        monkeypatch.setattr(experiments, "TorusGrid", None)
+        err = lone_config_error(["run", "--n", "16", "--t-final", "1e300", "--dt", "1e-3",
+                                 "--out", "o"], tmp_path, monkeypatch, capsys)
+        assert err == ("configuration error: t_final / dt = 1e+303 steps exceeds the cap "
+                       "of 1e+08 steps\n")
+
     def test_initial_row_near_overflow_is_finite(self, tmp_path, monkeypatch, capsys):
         # sum |q0|^2 is 4.5e307: the diagnostics scale each term before they sum
         monkeypatch.chdir(tmp_path)

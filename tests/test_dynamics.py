@@ -7,16 +7,19 @@ curl((1 - a^2 Lap)(-ad*_u u)) == -u.grad q, which fails loudly under any
 sign mistake in the psi/u/omega conventions.
 """
 
+import dataclasses
 import gc
+import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from euleralpha import dynamics, spectral
 from euleralpha.checks import cross_form_residual, helmholtz_pair_residuals, leray_residuals
 from euleralpha.dynamics import (
     SimState,
-    _rhs_and_velocity,
     ad_star_hats,
     compute_diagnostics,
     energy_quadrature,
@@ -26,7 +29,9 @@ from euleralpha.dynamics import (
     rhs_columns_and_speed,
     state_from_omega,
     velocity_columns,
+    vorticity_values,
 )
+from euleralpha.experiments import RunConfig, run
 from euleralpha.spectral import (
     TorusGrid,
     dealias,
@@ -280,12 +285,13 @@ class TestOneDimensionalPasses:
 
     @staticmethod
     def assert_passes_match(state, stage):
-        # the state's columns, and a stage input that is not dealiased
+        # the state's columns, and a stage input that is not dealiased; the speed is
+        # that of the velocity the pass transports with
         for q in (state.columns, stage):
-            out, values = _rhs_and_velocity(state, q)
+            out, speed = rhs_columns_and_speed(state, q)
             expected, ux, uy = nd_rhs_and_velocity(state, q)
-            for got, want in ((out, expected), (values[2], ux), (values[3], uy)):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+            assert speed == float(np.hypot(ux, uy).max())
         assert rhs_columns_and_speed(state, state.columns)[1] == nd_max_speed(state)
         assert compute_diagnostics(state, 1e-2) == nd_diagnostics(state, 1e-2)
 
@@ -319,6 +325,96 @@ class TestOneDimensionalPasses:
         grid = TorusGrid(512)
         state = state_from_omega(grid, random_spectrum(grid, grid.kmax_dealias, seed=5), alpha, nu=nu)
         self.assert_passes_match(state, state.columns + 0.01 * random_spectrum(grid, 256, seed=6))
+
+
+class TestRowBlocks:
+    """The row-blocked grid pass gives the one-block pass's outputs byte for byte."""
+
+    # at n = 48 the RHS's four fields take 1, 21 + 21 + 6 and 48 rows per block,
+    # and ad*'s twelve (alpha != 0) 1, 6 x 7 + 6 and 48
+    N = 48
+    BLOCKINGS = {"one row": 1, "ragged": 12 * 48 * 7, "one block": 1 << 40}
+
+    @staticmethod
+    def use_blocks(monkeypatch, samples):
+        """Set the block size; the list it returns collects the rows of every block."""
+        monkeypatch.setattr(spectral, "_BLOCK_SAMPLES", samples)
+        rows = []
+
+        def counting(spectra, pointwise):
+            def counted(values):
+                rows.append(values.shape[1])
+                return pointwise(values)
+
+            return spectral.grid_pass(spectra, counted)
+
+        monkeypatch.setattr(dynamics, "grid_pass", counting)
+        return rows
+
+    @staticmethod
+    def outputs(state):
+        stage = state.columns + 0.01 * random_spectrum(state.grid, state.grid.n // 2, seed=2)
+        out, speed = rhs_columns_and_speed(state, state.columns)
+        diag = compute_diagnostics(state, 1e-2)
+        return [rhs_columns(state, stage).tobytes(), out.tobytes(), struct.pack("<d", speed),
+                *(struct.pack("<d", v) for v in dataclasses.astuple(diag)),
+                *(h.tobytes() for h in ad_star_hats(state))]
+
+    @pytest.mark.parametrize("blocking", list(BLOCKINGS))
+    @pytest.mark.parametrize("alpha, nu", [(0.3, 0.0), (0.3, 0.05), (0.0, 0.05)])
+    def test_rhs_diagnostics_and_ad_star(self, blocking, alpha, nu, monkeypatch):
+        grid = TorusGrid(self.N)
+        state = random_state(grid, alpha=alpha, nu=nu, kmax=grid.kmax_dealias, seed=9)
+        self.use_blocks(monkeypatch, self.BLOCKINGS["one block"])
+        expected = self.outputs(state)
+        rows = self.use_blocks(monkeypatch, self.BLOCKINGS[blocking])
+        assert self.outputs(state) == expected
+        if blocking == "one row":
+            assert set(rows) == {1}
+        elif blocking == "ragged":
+            assert {21, 6}.issubset(rows) and self.N not in rows
+        else:
+            assert set(rows) == {self.N}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+    def test_speed_of_non_finite_and_overflowing_states(self, bad, monkeypatch):
+        # NaN and inf spread over the grid; 1e160 overflows the squares, so hypot
+        # takes every point of a block
+        grid = TorusGrid(self.N)
+        state = random_state(grid, alpha=0.3, kmax=grid.kmax_dealias, seed=4)
+        columns = state.columns * (1.0 if np.isnan(bad) or np.isinf(bad) else bad)
+        if not np.isfinite(bad):
+            columns[3, 2] = bad
+        state = state.replace(columns=columns)
+        speeds = []
+        for blocking in ("one block", "one row", "ragged"):
+            self.use_blocks(monkeypatch, self.BLOCKINGS[blocking])
+            with np.errstate(all="ignore"):
+                speeds.append(rhs_columns_and_speed(state, state.columns)[1])
+        assert np.array_equal(speeds, [speeds[0]] * 3, equal_nan=True)
+        assert np.isnan(speeds[0]) if not np.isfinite(bad) else np.isfinite(speeds[0])
+
+    @pytest.mark.parametrize("blocking", ["one row", "ragged"])
+    def test_run_files(self, blocking, monkeypatch, tmp_path):
+        cfg = RunConfig(n=self.N, alpha=0.25, nu=0.01, dt=0.01, t_final=0.03, scheme="strang",
+                        ic_band=6, seed=5, diag_every=1, save_every=1)
+
+        def files(samples, name):
+            self.use_blocks(monkeypatch, samples)
+            out = tmp_path / name
+            run(cfg.replace(out=str(out)))
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.txt"}
+
+        expected = files(self.BLOCKINGS["one block"], "one")
+        assert len(expected) == 5
+        assert files(self.BLOCKINGS[blocking], "blocked") == expected
+
+    def test_snapshot_is_the_ifft2_of_the_vorticity_at_n512(self):
+        # the formula of the benchmark's run_n512 gate
+        grid = TorusGrid(512)
+        state = state_from_omega(grid, random_spectrum(grid, grid.kmax_dealias, seed=3), 0.25)
+        expected = np.fft.ifft2(omega_from_q(grid, state.q_hat, state.alpha)).real
+        assert vorticity_values(state).tobytes() == expected.tobytes()
 
 
 class TestLerayProjection:

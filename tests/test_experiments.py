@@ -4,6 +4,7 @@ persisted runs, the snapshot/CSV formats, and the parameter sweeps.
 """
 
 import dataclasses
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -105,6 +106,15 @@ class TestConfigParsing:
         for n in (4098, 10**9):
             with pytest.raises(ConfigError, match=f"<= 4096 \\(the size cap\\), got {n}"):
                 RunConfig(n=n).validate()
+
+    def test_step_cap(self):
+        # t_final / dt as floats: 1e8 steps pass, more do not, and a quotient that
+        # overflows is inf
+        assert RunConfig(t_final=1e5, dt=1e-3).validate().t_final == 1e5
+        for t_final, dt, steps in ((1e5, 9.99e-4, "1.001e+08"), (1e300, 1e-300, "inf")):
+            with pytest.raises(ConfigError, match=f"= {re.escape(steps)} steps exceeds the cap "
+                                                  "of 1e\\+08 steps"):
+                RunConfig(t_final=t_final, dt=dt).validate()
 
     def test_list_coercion(self):
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
@@ -508,6 +518,14 @@ class TestSweepAlpha:
         cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, ic_energy=1e300, alpha=0.01)
         with pytest.raises(ConfigError, match=r"sweep member alpha=10 failed: ic_energy=1e\+300"):
             sweep_alpha(cfg, (10.0, 5.0), workers=2)
+
+    def test_reference_step_count_checked_before_any_member(self, tmp_path):
+        # the members take 2.5e7 steps or fewer, the reference at min(dt)/16 4e8
+        cfg = _sweep_cfg(nu=0.05, t_final=100.0, out=str(tmp_path / "o"))
+        with pytest.raises(ConfigError, match="sweep member reference failed: t_final / dt = "
+                                              "4e\\+08 steps exceeds"):
+            splitting_order_study(cfg, (1.6e-5, 8e-6, 4e-6))
+        assert not (tmp_path / "o").exists()
 
     def test_members_forced_inviscid(self):
         cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, alpha=0.25,

@@ -138,6 +138,19 @@ class TestEvalVelocityAt:
         with pytest.raises(ValueError, match="3 markers per block cannot evaluate 4 points"):
             eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid16, 3))
 
+    def test_fields_changed_in_place_are_read_again(self, grid16):
+        # a reused workspace keeps no table: after u *= 2 the same call, on the
+        # same arrays, returns what a one-shot call on them does
+        u = velocity_columns(grid16, random_state(grid16, alpha=0.25, seed=3).columns, 0.25)
+        pts = np.random.default_rng(3).uniform(-5.0, 5.0, (7, 2))
+        ws = EvalWorkspace(grid16, len(pts))
+        first = eval_velocity_at(grid16, u, pts, ws)
+        assert np.array_equal(first, eval_velocity_at(grid16, u, pts))
+        u *= 2.0
+        again = eval_velocity_at(grid16, u, pts, ws)
+        assert np.array_equal(again, eval_velocity_at(grid16, u, pts))
+        assert np.array_equal(again, 2.0 * first)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_matches_full_spectrum_sum(self, n, alpha):
@@ -222,9 +235,9 @@ class TestAdvectParticles:
         # at x = pi/2 the velocity vanishes: the marker must not move at all
         assert pm.positions[1].tolist() == pytest.approx([np.pi / 2, 1.0], abs=1e-12)
 
-    def test_four_evaluations_three_tables_one_workspace_per_step(self, grid16, monkeypatch):
-        # k2 and k3 share u(t + dt/2)'s coefficient table; all four stages
-        # evaluate in the workspace that the step was given
+    def test_four_evaluations_four_tables_one_workspace_per_step(self, grid16, monkeypatch):
+        # every evaluation builds the table of the fields it is given; all four
+        # stages evaluate in the workspace that the step was given
         calls, tables = [], []
         evaluate, build = particles.eval_velocity_at, particles._coefficient_table
 
@@ -244,7 +257,7 @@ class TestAdvectParticles:
         ws = EvalWorkspace(grid16, len(pm.positions))
         advect_particles(pm, state, 0.05, stages, ws)
         assert calls == [ws] * 4
-        assert tables == list(stages)
+        assert tables == [stages[0], stages[1], stages[1], stages[2]]
         calls.clear()
         advect_particles(pm, state, 0.05, stages)
         assert len(calls) == 4 and calls[0] is not None and calls == [calls[0]] * 4

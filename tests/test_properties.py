@@ -219,7 +219,7 @@ def test_max_speed_is_the_max_of_hypot_bit_for_bit(values):
     expected = float(np.hypot(values[2], values[3]).max())
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # squares that overflow do not warn
-        got = _max_speed(values.copy())
+        got = _max_speed(values[2], values[3], values[0].copy())
     assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 

@@ -5,14 +5,14 @@ Tests for the spectral core: grid, transforms, multipliers, dealiasing.
 import numpy as np
 import pytest
 
+from euleralpha import spectral
 from euleralpha.spectral import (
     TorusGrid,
-    columns_to_grid,
     ddx,
     ddy,
     dealias,
     forward_transform,
-    grid_to_columns,
+    grid_pass,
     helmholtz,
     integral,
     inverse_helmholtz,
@@ -115,31 +115,51 @@ class TestTransforms:
         f = inverse_transform(F)
         assert np.abs(f - np.cos(2 * mesh(grid16)[0])).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [32, 512])
-    def test_column_passes_equal_the_nd_transforms(self, n):
-        # the two 1D passes are the ones numpy's irfft2 and rfft2 make
-        rng = np.random.default_rng(n)
-        w = TorusGrid(n).kmax_dealias + 1
-        block = rng.standard_normal((2, n, w)) + 1j * rng.standard_normal((2, n, w))
-        values = rng.standard_normal((n, n))
-        assert np.array_equal(columns_to_grid(block.copy(), n), np.fft.irfft2(block, s=(n, n)))
-        assert np.array_equal(grid_to_columns(values, w), np.fft.rfft2(values)[:, :w])
+    @staticmethod
+    def blocked_pass(block, rows, monkeypatch, keep=2):
+        """grid_pass of a copy of ``block`` in blocks of ``rows`` rows: the rows it was
+        handed, stacked, and its result for the product of the first ``keep`` fields."""
+        c, n, _ = block.shape
+        monkeypatch.setattr(spectral, "_BLOCK_SAMPLES", c * n * rows)
+        seen = []
 
-    @pytest.mark.parametrize("n", [8, 32, 512])
-    def test_passes_in_the_callers_memory_keep_the_bits(self, n):
-        # the axis-0 inverse pass in the block's memory gives irfft2's bytes, and the
-        # axis-1 forward pass in a spent (4, n, w) block the allocating pass's bytes
+        def product(values):
+            seen.append(values.copy())
+            return values[:keep] * values[keep : 2 * keep]
+
+        out = grid_pass(block.copy(), product)
+        return np.concatenate(seen, axis=1), out, len(seen)
+
+    @pytest.mark.parametrize("n", [32, 512])
+    def test_column_passes_equal_the_nd_transforms(self, n, monkeypatch):
+        # in any blocking, the pass hands over irfft2's rows and returns the block of
+        # rfft2 of the product, bit for bit: the 1D passes are the nd transforms' own
         rng = np.random.default_rng(n)
         w = TorusGrid(n).kmax_dealias + 1
         block = rng.standard_normal((4, n, w)) + 1j * rng.standard_normal((4, n, w))
-        expected = np.fft.irfft2(block, s=(n, n))
-        spent = block.copy()
-        assert columns_to_grid(spent, n).tobytes() == expected.tobytes()
-        assert spent.tobytes() == np.fft.ifft(block, axis=-2).tobytes()
-        values = expected[0]
-        got = grid_to_columns(values, w, work=spent)
-        assert got.tobytes() == grid_to_columns(values, w).tobytes()
-        assert not np.shares_memory(got, spent)
+        values = np.fft.irfft2(block, s=(n, n))
+        expected = np.fft.rfft2(values[:2] * values[2:])[..., :w]
+        for rows, blocks in ((1, n), (5, -(-n // 5)), (n, 1), (2 * n, 1)):
+            seen, out, count = self.blocked_pass(block, rows, monkeypatch)
+            assert count == blocks
+            assert seen.tobytes() == values.tobytes()
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 32, 512])
+    def test_passes_in_the_callers_memory_keep_the_bits(self, n, monkeypatch):
+        # the pass consumes the spectra it is given and allocates its result, and with
+        # no product it returns None
+        rng = np.random.default_rng(n)
+        w = TorusGrid(n).kmax_dealias + 1
+        block = rng.standard_normal((4, n, w)) + 1j * rng.standard_normal((4, n, w))
+        expected = np.fft.rfft2(np.fft.irfft2(block[:1], s=(n, n)))[..., :w]
+        for rows in (3, n):
+            monkeypatch.setattr(spectral, "_BLOCK_SAMPLES", 4 * n * rows)
+            spent = block.copy()
+            out = grid_pass(spent, lambda values: values[:1])
+            assert not np.shares_memory(out, spent)
+            assert out.tobytes() == expected.tobytes()
+            assert grid_pass(block.copy(), lambda values: None) is None
 
     def test_inverse_rejects_non_hermitian(self, grid16):
         F = np.zeros((16, 16), dtype=complex)

@@ -19,8 +19,9 @@ workload and end-to-end metric both sides' runs, medians and inclusive
 quartiles, the ratio of the medians (change over parent) and the number of
 pairs that the change won. With ``--faults N`` each side then runs N bodies
 of every benchmarked workload in one process and records the wall time and
-the minor page faults (``resource.getrusage``) of each; pool workers' faults
-are not counted. With ``--section`` the result is stored under that key of
+the minor page faults (``resource.getrusage``) of each, and the process's
+peak resident set size (``ru_maxrss``) after each; pool workers are not
+counted. With ``--section`` the result is stored under that key of
 the ``--out`` file, whose other keys stay as they are.
 """
 
@@ -40,7 +41,7 @@ from pathlib import Path
 RUNNER = "perfbench/run.py"
 
 # N bodies of one workload in one process, from the checkout it is started in:
-# [body seconds, minor page faults] per body
+# [body seconds, minor page faults, ru_maxrss in KiB after it] per body
 _FAULT_PROBE = """
 import json, resource, shutil, sys, tempfile, time
 from pathlib import Path
@@ -56,8 +57,9 @@ try:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         started = time.perf_counter()
         wl.body(work / f"rep{i}")
-        bodies.append([time.perf_counter() - started,
-                       resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before])
+        elapsed = time.perf_counter() - started
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        bodies.append([elapsed, usage.ru_minflt - before, usage.ru_maxrss])
 finally:
     shutil.rmtree(work, ignore_errors=True)
 print(json.dumps(bodies))
@@ -128,10 +130,11 @@ def body_faults(checkout: Path, workload: str, seed: int, bodies: int) -> dict:
         raise SystemExit(f"fault probe of {workload} in {checkout} failed:\n{done.stderr}")
     per_body = json.loads(done.stdout.strip().splitlines()[-1])
     return {
-        "body_s": [round(s, 6) for s, _ in per_body],
-        "minor_faults": [f for _, f in per_body],
-        "median_body_s": statistics.median(s for s, _ in per_body),
-        "median_minor_faults": statistics.median(f for _, f in per_body),
+        "body_s": [round(s, 6) for s, _, _ in per_body],
+        "minor_faults": [f for _, f, _ in per_body],
+        "max_rss_mib": [round(kib / 1024, 2) for _, _, kib in per_body],
+        "median_body_s": statistics.median(s for s, _, _ in per_body),
+        "median_minor_faults": statistics.median(f for _, f, _ in per_body),
     }
 
 
@@ -175,7 +178,8 @@ def bench(repo: Path, parent_rev: str, workload: str, pairs: int, seed: int, fau
     if faults:
         out["body_faults"] = {
             "what": f"{faults} bodies per workload in one process per side, parent first; "
-                    "minor page faults of that process (resource.getrusage), pool workers not counted",
+                    "minor page faults of that process (resource.getrusage) per body and its "
+                    "ru_maxrss after each body, pool workers not counted",
             **{wl: {side: body_faults(checkouts[side], wl, seed, faults) for side in commits}
                for wl in out["workloads"]},
         }

@@ -10,6 +10,9 @@ directory, runs:
   conditions (n=16 random band, n=32 Taylor-Green, n=16 single mode), with
   a shortened last step and diagnostics rows and snapshots off the step
   cadence;
+* ``experiments.run`` at n=256, 3 rk4 and 3 strang steps with nu=0.01 and
+  a diagnostics row and a snapshot every step: grids this large take the
+  RHS and diagnostics grid pass in more than one block of rows;
 * the three sweeps with and without an output directory, at 1 and 2
   workers;
 * ``euleralpha check``, capturing its stdout;
@@ -95,6 +98,11 @@ def fingerprint(src_root: Path) -> tuple[str, int, dict[str, str]]:
                     cfg = base.replace(scheme=scheme, nu=nu, **ic)
                     final = experiments.run(cfg.replace(out=str(root / f"run_{scheme}_{nu}_{i}")))
                     feed("states", f"run {scheme} {nu} {i}", _array_bytes(final.q_hat))
+        for scheme in ("rk4", "strang"):
+            cfg = experiments.RunConfig(n=256, alpha=0.25, nu=0.01, dt=5e-3, t_final=1.5e-2,
+                                        scheme=scheme, seed=11, save_every=1, diag_every=1,
+                                        out=str(root / f"run_n256_{scheme}"))
+            feed("states", f"run n256 {scheme}", _array_bytes(experiments.run(cfg).q_hat))
 
         sweep = experiments.RunConfig(n=16, alpha=0.25, nu=0.05, dt=0.01, t_final=0.1, seed=3)
         studies = (
