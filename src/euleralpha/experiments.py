@@ -45,7 +45,8 @@ from .spectral import TorusGrid, forward_transform, l2_norm
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
 #: largest accepted grid size: by arithmetic, at n = 4096 one grid and one state take
-#: about 0.31 GiB (K2 128 MiB, dealias mask 16 MiB, rhs_factors 85 MiB, state 85 MiB)
+#: about 0.31 GiB (K2 128 MiB, dealias mask 16 MiB, rhs_factors 85 MiB, state 85 MiB);
+#: traced at n = 1024, an RHS adds 28 n^2 B (0.44 GiB at 4096), an RK4 step 44 n^2 B
 MAX_N = 4096
 
 #: largest accepted step count t_final / dt, compared as floats (an overflow is inf)
