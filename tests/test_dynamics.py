@@ -393,6 +393,9 @@ class TestRowBlocks:
                 speeds.append(rhs_columns_and_speed(state, state.columns)[1])
         assert np.array_equal(speeds, [speeds[0]] * 3, equal_nan=True)
         assert np.isnan(speeds[0]) if not np.isfinite(bad) else np.isfinite(speeds[0])
+        # a NaN in any one block is the grid's max, as one max over the grid gives
+        for peaks in ([1.0, np.nan, 2.0], [np.nan, 1.0], [2.0, 1.0, np.nan]):
+            assert np.isnan(dynamics._peak(peaks))
 
     @pytest.mark.parametrize("blocking", ["one row", "ragged"])
     def test_run_files(self, blocking, monkeypatch, tmp_path):

@@ -519,14 +519,6 @@ class TestSweepAlpha:
         with pytest.raises(ConfigError, match=r"sweep member alpha=10 failed: ic_energy=1e\+300"):
             sweep_alpha(cfg, (10.0, 5.0), workers=2)
 
-    def test_reference_step_count_checked_before_any_member(self, tmp_path):
-        # the members take 2.5e7 steps or fewer, the reference at min(dt)/16 4e8
-        cfg = _sweep_cfg(nu=0.05, t_final=100.0, out=str(tmp_path / "o"))
-        with pytest.raises(ConfigError, match="sweep member reference failed: t_final / dt = "
-                                              "4e\\+08 steps exceeds"):
-            splitting_order_study(cfg, (1.6e-5, 8e-6, 4e-6))
-        assert not (tmp_path / "o").exists()
-
     def test_members_forced_inviscid(self):
         cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, alpha=0.25,
                          nu=0.05, t_final=0.2)
@@ -564,6 +556,14 @@ class TestSplittingOrderStudy:
         assert pooled == splitting_order_study(cfg, dts, workers=1)
         members = [(s, dt) for dt in reversed(dts) for s in ("lie_trotter", "strang", "rk4")]
         assert [(c.scheme, c.dt) for c in inline_pool.submitted] == [("rk4", 0.005 / 16), *members]
+
+    def test_reference_step_count_checked_before_any_member(self, tmp_path):
+        # the members take 2.5e7 steps or fewer, the reference at min(dt)/16 4e8
+        cfg = _sweep_cfg(nu=0.05, t_final=100.0, out=str(tmp_path / "o"))
+        with pytest.raises(ConfigError, match="sweep member reference failed: t_final / dt = "
+                                              "4e\\+08 steps exceeds"):
+            splitting_order_study(cfg, (1.6e-5, 8e-6, 4e-6))
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepInitialCondition:
