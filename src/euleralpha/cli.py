@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -47,13 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="2D averaged-Euler (Euler-alpha) pseudospectral solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "integrate one configuration and persist outputs"),
-        ("sweep-nu", "vanishing-viscosity sweep against the inviscid reference"),
-        ("sweep-alpha", "alpha -> 0 sweep against the classical Euler reference"),
-        ("splitting-order", "observed orders of the product-formula steppers"),
-        ("check", "run the fast invariant self-checks"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name != "check":
             _add_config_flags(p)
@@ -80,30 +75,17 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_nu(args) -> int:
+def _cmd_sweep(sweep, key: str, args) -> int:
+    """Run ``sweep`` over the config's list ``key`` and print its result or its schemes' results."""
     cfg = _config_from_args(args)
-    if not cfg.nu_list:
-        raise ConfigError("sweep-nu needs nu_list (config key nu_list or --nu-list)")
-    _print_sweep(sweep_nu(cfg, cfg.nu_list, workers=cfg.workers))
-    return EXIT_OK
-
-
-def _cmd_sweep_alpha(args) -> int:
-    cfg = _config_from_args(args)
-    if not cfg.alpha_list:
-        raise ConfigError("sweep-alpha needs alpha_list (config key alpha_list or --alpha-list)")
-    _print_sweep(sweep_alpha(cfg, cfg.alpha_list, workers=cfg.workers))
-    return EXIT_OK
-
-
-def _cmd_splitting_order(args) -> int:
-    cfg = _config_from_args(args)
-    if not cfg.dt_list:
-        raise ConfigError("splitting-order needs dt_list (config key dt_list or --dt-list)")
-    results = splitting_order_study(cfg, cfg.dt_list, workers=cfg.workers)
-    for scheme, result in results.items():
-        print(f"[{scheme}] observed order = {result.slope:.4f} "
-              f"(rms residual {result.residual:.4f})")
+    if not getattr(cfg, key):
+        flag = "--" + key.replace("_", "-")
+        raise ConfigError(f"{args.command} needs {key} (config key {key} or {flag})")
+    results = sweep(cfg, getattr(cfg, key), workers=cfg.workers)
+    for scheme, result in (results if isinstance(results, dict) else {None: results}).items():
+        if scheme is not None:
+            print(f"[{scheme}] observed order = {result.slope:.4f} "
+                  f"(rms residual {result.residual:.4f})")
         _print_sweep(result)
     return EXIT_OK
 
@@ -123,19 +105,24 @@ def _cmd_check(_args) -> int:
     return EXIT_OK
 
 
+# subcommand: (help text, handler), in the order of the parser's help; a sweep's
+# handler is _cmd_sweep bound to its sweep function and the config key of its list
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep-nu": _cmd_sweep_nu,
-    "sweep-alpha": _cmd_sweep_alpha,
-    "splitting-order": _cmd_splitting_order,
-    "check": _cmd_check,
+    "run": ("integrate one configuration and persist outputs", _cmd_run),
+    "sweep-nu": ("vanishing-viscosity sweep against the inviscid reference",
+                 functools.partial(_cmd_sweep, sweep_nu, "nu_list")),
+    "sweep-alpha": ("alpha -> 0 sweep against the classical Euler reference",
+                    functools.partial(_cmd_sweep, sweep_alpha, "alpha_list")),
+    "splitting-order": ("observed orders of the product-formula steppers",
+                        functools.partial(_cmd_sweep, splitting_order_study, "dt_list")),
+    "check": ("run the fast invariant self-checks", _cmd_check),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

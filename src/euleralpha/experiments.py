@@ -426,12 +426,19 @@ def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> floa
     return math.sqrt(2.0 * energy_hats(grid, ux, uy, weight_alpha))
 
 
-def _sweep_values(cfg: RunConfig, name: str, values: Sequence[float]) -> tuple:
-    """``values`` as floats once ``cfg`` is valid; ConfigError unless every one is finite."""
+def _sweep_values(cfg: RunConfig, name: str, values: Sequence[float], positive=True) -> tuple:
+    """
+    ``values`` as floats once ``cfg`` is valid; ConfigError unless they are non-empty,
+    finite, positive (>= 0 if not ``positive``) and strictly descending: every sweep's rules.
+    """
     cfg.validate()
     values = tuple(float(v) for v in values)
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{name} entries must be finite, got {values}")
+    if not values or any(v <= 0 if positive else v < 0 for v in values):
+        raise ConfigError(f"{name} must be non-empty and {'positive' if positive else '>= 0'}")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{name} must be strictly descending")
     return values
 
 
@@ -440,14 +447,23 @@ def _sweep(cfg: RunConfig, groups, reference, workers: int) -> list[SweepResult]
     Run each group's ``(label, dirname, config)`` members, one per value, and the reference
     from one shared omega0, checked at cfg. A group ``(parameter, values, members, filename)``
     gets its members' distances (at their own alpha, weighted by cfg.alpha), fit and summary CSV.
+
+    With an output directory, two runs of different configs whose values print alike
+    (``{v:g}``) would write one directory: a ConfigError before any member starts.
     """
-    grid = TorusGrid(cfg.n)
-    omega_hat = _checked_omega0(cfg, grid)[0]
     runs = [*(m for group in groups for m in group[2]), reference]
     configs = [
         c.replace(out=None if cfg.out is None else str(Path(cfg.out) / dirname))
         for _, dirname, c in runs
     ]
+    owners: dict = {}
+    for (label, _, _), c in zip(runs, configs):
+        first, first_cfg = owners.setdefault(c.out, (label, c))
+        if c.out is not None and first_cfg != c:
+            raise ConfigError(f"sweep members {first} and {label} are different runs that would "
+                              f"share the output directory {c.out}")
+    grid = TorusGrid(cfg.n)
+    omega_hat = _checked_omega0(cfg, grid)[0]
     *q_members, q_ref = _map_members(configs, grid, omega_hat, [r[0] for r in runs], workers)
     alpha_ref = reference[2].alpha
     results = []
@@ -469,10 +485,6 @@ def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> Swee
     the inviscid (nu = 0) reference from the identical initial condition.
     """
     nu_list = _sweep_values(cfg, "nu_list", nu_list)
-    if not nu_list or any(v <= 0 for v in nu_list):
-        raise ConfigError("nu_list must be non-empty and positive")
-    if any(b >= a for a, b in zip(nu_list, nu_list[1:])):
-        raise ConfigError("nu_list must be strictly descending")
     members = [(f"nu={v:g}", f"nu_{v:g}", cfg.replace(nu=v)) for v in nu_list]
     reference = ("nu=0 (reference)", "nu_0", cfg.replace(nu=0.0))
     return _sweep(cfg, [("nu", nu_list, members, "sweep_summary.csv")], reference, workers)[0]
@@ -484,13 +496,9 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
     inviscid, from the identical initial velocity field. Each member forms
     its own q0 = (1 - alpha^2 Lap) omega0 from the shared omega0.
     """
-    alpha_list = _sweep_values(cfg, "alpha_list", alpha_list)
-    if not alpha_list or any(v < 0 for v in alpha_list):
-        raise ConfigError("alpha_list must be non-empty and >= 0")
+    alpha_list = _sweep_values(cfg, "alpha_list", alpha_list, positive=False)
     for v in alpha_list:
         _check_alpha(v, cfg.n)
-    if any(b >= a for a, b in zip(alpha_list, alpha_list[1:])):
-        raise ConfigError("alpha_list must be strictly descending")
     members = [
         (f"alpha={v:g}", f"alpha_{v:g}", cfg.replace(alpha=v, nu=0.0)) for v in alpha_list
     ]
@@ -506,11 +514,9 @@ def splitting_order_study(
     self-convergence) against an RK4 reference at min(dt_list)/16.
     """
     dt_list = _sweep_values(cfg, "dt_list", dt_list)
-    if len(dt_list) < 3 or any(v <= 0 for v in dt_list):
-        raise ConfigError("dt_list needs at least 3 positive entries")
-    for a, b in zip(dt_list, dt_list[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ConfigError("dt_list must be dyadic descending (each entry half the last)")
+    if len(dt_list) < 3 or any(abs(a / b - 2.0) > 1e-9 for a, b in zip(dt_list, dt_list[1:])):
+        raise ConfigError("dt_list needs at least 3 positive entries, dyadic descending "
+                          "(each entry half the last)")
     if cfg.nu <= 0:
         raise ConfigError("splitting order study requires nu > 0")
     schemes = ("lie_trotter", "strang", "rk4")

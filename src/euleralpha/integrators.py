@@ -36,8 +36,6 @@ import numpy as np
 
 from .dynamics import SimState, rhs_columns, rhs_columns_and_speed
 
-SCHEMES = ("rk4", "lie_trotter", "strang")
-
 #: largest advective CFL number max|u| dt / h a step accepts
 CFL_LIMIT = 0.5
 
@@ -149,6 +147,7 @@ STEPPERS: dict[str, Callable[..., SimState]] = {
     "lie_trotter": step_lie_trotter,
     "strang": step_strang,
 }
+SCHEMES = tuple(STEPPERS)
 
 
 def _march(state: SimState, t_final: float, dt: float, step: Callable):

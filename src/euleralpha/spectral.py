@@ -37,7 +37,6 @@ derivatives of real fields stay real.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +109,7 @@ def forward_transform(values: np.ndarray) -> np.ndarray:
 
 
 #: float64 samples in one block of :func:`grid_pass`, 1 MiB (measured in the README);
-#: four fields of n <= 181 make one block
+#: four fields of n <= 181 make one block, which the same loop runs once
 _BLOCK_SAMPLES = 1 << 17
 
 
@@ -125,17 +124,8 @@ def grid_pass(spectra: np.ndarray, pointwise) -> np.ndarray | None:
     ends the pass: the 1D passes of ``irfft2`` and ``rfft2``, bit for bit in any blocking.
     """
     c, n, w = spectra.shape
-    rows = max(1, _BLOCK_SAMPLES // (c * n))
+    rows = min(n, max(1, _BLOCK_SAMPLES // (c * n)))
     np.fft.ifft(spectra, axis=1, out=spectra)
-    if rows >= n:
-        # one block, an unblocked pass's calls: rfft writes into the spent spectra if it fits
-        product = pointwise(np.fft.irfft(spectra, n=n, axis=2))
-        if product is None:
-            return None
-        shape = (len(product), n, n // 2 + 1)
-        spent = spectra.reshape(-1)[: math.prod(shape)]
-        spent = spent.reshape(shape) if spent.size == math.prod(shape) else None
-        return np.fft.fft(np.fft.rfft(product, out=spent)[..., :w], axis=1)
     values = np.empty((c, rows, n))
     half = product = None
     for start in range(0, n, rows):

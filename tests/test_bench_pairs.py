@@ -150,3 +150,12 @@ def test_failed_run_stops_the_tool(stub_repo):
     done = _bench(repo, parent, "--pairs", "1", "--out", "out.json")
     assert done.returncode != 0 and "exited 3" in done.stderr
     assert not (repo / "out.json").exists()
+
+
+@pytest.mark.parametrize("option, value", [("--pairs", "0"), ("--faults", "-1")])
+def test_out_of_range_counts_are_usage_errors(stub_repo, option, value):
+    # a negative --faults would run every pair and then fail on an empty median
+    repo, parent, _ = stub_repo
+    done = _bench(repo, parent, option, value, "--out", "out.json")
+    assert done.returncode == 2 and f"{option} must be" in done.stderr
+    assert "pair 1/" not in done.stderr and not (repo / "out.json").exists()

@@ -184,9 +184,15 @@ class TestSweepCommands:
         out = capsys.readouterr().out
         assert "fitted log-log slope" in out
 
-    def test_sweep_alpha_requires_list(self, capsys):
-        assert main(["sweep-alpha", "--n", "32"]) == 1
-        assert "alpha_list" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, key", [
+        ("sweep-nu", "nu_list"),
+        ("sweep-alpha", "alpha_list"),
+        ("splitting-order", "dt_list"),
+    ])
+    def test_sweep_requires_list(self, command, key, capsys):
+        assert main([command, "--n", "32"]) == 1
+        err = capsys.readouterr().err
+        assert f"{command} needs {key} (config key {key} or --{key.replace('_', '-')})" in err
 
     def test_splitting_order_reports_schemes(self, capsys):
         code = main([

@@ -490,6 +490,17 @@ class TestSweepNu:
         assert (tmp_path / "nu_0" / "diagnostics.csv").exists()
         assert (tmp_path / "sweep_summary.csv").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_members_printing_alike_refuse_one_directory(self, workers, tmp_path, inline_pool):
+        # 0.1234568 and 0.1234567 both print as 0.123457, the name of one directory
+        out = tmp_path / "o"
+        cfg = _sweep_cfg(t_final=0.05, out=str(out))
+        with pytest.raises(ConfigError, match="share the output directory") as caught:
+            sweep_nu(cfg, (0.1234568, 0.1234567), workers=workers)
+        message = str(caught.value)
+        assert str(out / "nu_0.123457") in message and message.count("nu=0.123457") == 2
+        assert not out.exists() and inline_pool.sizes == []
+
 
 class TestSweepAlpha:
     def test_single_shell_closed_forms(self):
@@ -512,6 +523,15 @@ class TestSweepAlpha:
     def test_nonfinite_entry_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             sweep_alpha(_sweep_cfg(), (float("inf"), 0.1))
+
+    def test_alpha_zero_member_shares_the_reference_directory(self, tmp_path):
+        # an alpha = 0 member is the reference's own run, so one directory holds both
+        cfg = _sweep_cfg(ic="random_bandlimited", ic_band=3, alpha=0.25, t_final=0.05,
+                         out=str(tmp_path))
+        res = sweep_alpha(cfg, (0.1, 0.0))
+        assert res.distances_q[1] == 0.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alpha_0", "alpha_0.1", "sweep_summary.csv"]
 
     def test_member_initial_state_checked_at_its_alpha(self):
         # omega0 is representable at alpha = 0.01, q0 = (1 + 100 k^2) omega0 is not

@@ -201,6 +201,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.faults < 0:
+        parser.error("--faults must be at least 0")
 
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.scratch))
