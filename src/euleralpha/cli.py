@@ -21,6 +21,7 @@ from .experiments import (
     RunConfig,
     load_config,
     run,
+    short_repr,
     splitting_order_study,
     sweep_alpha,
     sweep_nu,
@@ -64,7 +65,7 @@ def _print_sweep(result) -> None:
     print(f"sweep over {result.parameter}:")
     print("  value        distance_q_l2    distance_u_h1alpha")
     for v, dq, du in zip(result.values, result.distances_q, result.distances_u):
-        print(f"  {v:<12.6g} {dq:<16.9e} {du:<16.9e}")
+        print(f"  {short_repr(v):<12} {dq:<16.9e} {du:<16.9e}")
     print(f"  fitted log-log slope = {result.slope:.4f} (rms residual {result.residual:.4f})")
 
 

@@ -36,7 +36,7 @@ the shape of ``rhs_factors``' table. ad*_u u is formed and returned on the
 same columns. The full spectrum, :attr:`SimState.q_hat`, is built on demand.
 
 The RHS is one pass over the block. Every retained column has ky <= kmax <
-n/3, so there the 2/3 mask is the row mask |kx| < n/3, ``dealias_mask[:, :1]``,
+n/3, so there the 2/3 mask is the row mask |kx| < n/3, ``grid.dealias_rows``,
 applied to the input and, in place, to the output. The four spectra
 (dx q, dy q, u_x, u_y) go into one buffer, which ``spectral.grid_pass`` turns
 into grid rows a block at a time; u . grad q is summed into the slot of dx q.
@@ -62,6 +62,7 @@ from .spectral import (
     helmholtz,
     integral,
     inverse_helmholtz,
+    k2_table,
     l2_inner,
     laplacian,
     rhs_factors,
@@ -137,9 +138,12 @@ def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray
 
 
 def vorticity_values(state: SimState) -> np.ndarray:
-    """The grid vorticity, ``ifft2(omega_from_q(...)).real`` bit for bit, formed in a fresh q_hat."""
-    w_hat = state.q_hat
-    np.divide(w_hat, 1.0 + state.alpha**2 * state.grid.K2, out=w_hat)
+    """
+    The grid vorticity, ``ifft2(omega_from_q(...)).real``, with the passes in place. The
+    block is divided before its expansion: the divisor is real and even in k, so the division
+    commutes with the conjugate reflection.
+    """
+    w_hat = state.replace(columns=omega_from_q(state.grid, state.columns, state.alpha)).q_hat
     np.fft.ifft(w_hat, axis=1, out=w_hat)
     return np.fft.ifft(w_hat, axis=0, out=w_hat).real
 
@@ -159,7 +163,7 @@ def _rhs(state: SimState, q: np.ndarray, speed: bool) -> tuple[np.ndarray, float
     n, w = grid.n, grid.kmax_dealias + 1
     if q.shape != (n, w):
         raise ValueError(f"expected the retained columns, shape {(n, w)}, got {q.shape}")
-    rows = grid.dealias_mask[:, :1]  # the 2/3 mask on the block
+    rows = grid.dealias_rows  # the 2/3 mask on the block
     fields = np.empty((4, n, w), dtype=complex)
     q_masked = np.multiply(q, rows, out=fields[0])  # dx q is formed over it last
     velocity_columns(grid, q_masked, state.alpha, fields[2:])
@@ -235,8 +239,9 @@ def leray_project_hats(
     """
     w = wx_hat.shape[-1]
     kx, ky = grid.kx[:, None], grid.kx[None, :w]
-    k2 = grid.K2[:, :w]
-    kdotw = (kx * wx_hat + ky * wy_hat) / np.where(k2 == 0.0, 1.0, k2)
+    k2 = k2_table(grid, w)
+    k2[0, 0] = 1.0  # the mean mode's guard: no other k^2 is 0
+    kdotw = (kx * wx_hat + ky * wy_hat) / k2
     px = wx_hat - kx * kdotw
     py = wy_hat - ky * kdotw
     px[0, 0] = wx_hat[0, 0]

@@ -45,7 +45,7 @@ from .spectral import TorusGrid, forward_transform, l2_norm
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
 #: largest accepted grid size: by arithmetic, at n = 4096 one grid and one state take
-#: about 0.31 GiB (K2 128 MiB, dealias mask 16 MiB, rhs_factors 85 MiB, state 85 MiB);
+#: about 0.17 GiB (rhs_factors 85 MiB, state 85 MiB; the grid keeps no (n, n) table);
 #: traced at n = 1024, an RHS adds 28 n^2 B (0.44 GiB at 4096), an RK4 step 44 n^2 B
 MAX_N = 4096
 
@@ -426,6 +426,12 @@ def _u_distance(grid: TorusGrid, qa, alpha_a, qb, alpha_b, weight_alpha) -> floa
     return math.sqrt(2.0 * energy_hats(grid, ux, uy, weight_alpha))
 
 
+def short_repr(v: float) -> str:
+    """``{v:g}`` if that reads back as v, else the shortest repr that does: distinct values differ."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
 def _sweep_values(cfg: RunConfig, name: str, values: Sequence[float], positive=True) -> tuple:
     """
     ``values`` as floats once ``cfg`` is valid; ConfigError unless they are non-empty,
@@ -485,7 +491,7 @@ def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> Swee
     the inviscid (nu = 0) reference from the identical initial condition.
     """
     nu_list = _sweep_values(cfg, "nu_list", nu_list)
-    members = [(f"nu={v:g}", f"nu_{v:g}", cfg.replace(nu=v)) for v in nu_list]
+    members = [(f"nu={short_repr(v)}", f"nu_{v:g}", cfg.replace(nu=v)) for v in nu_list]
     reference = ("nu=0 (reference)", "nu_0", cfg.replace(nu=0.0))
     return _sweep(cfg, [("nu", nu_list, members, "sweep_summary.csv")], reference, workers)[0]
 
@@ -499,9 +505,8 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
     alpha_list = _sweep_values(cfg, "alpha_list", alpha_list, positive=False)
     for v in alpha_list:
         _check_alpha(v, cfg.n)
-    members = [
-        (f"alpha={v:g}", f"alpha_{v:g}", cfg.replace(alpha=v, nu=0.0)) for v in alpha_list
-    ]
+    members = [(f"alpha={short_repr(v)}", f"alpha_{v:g}", cfg.replace(alpha=v, nu=0.0))
+               for v in alpha_list]
     reference = ("alpha=0 (reference)", "alpha_0", cfg.replace(alpha=0.0, nu=0.0))
     return _sweep(cfg, [("alpha", alpha_list, members, "sweep_summary.csv")], reference, workers)[0]
 
@@ -522,7 +527,7 @@ def splitting_order_study(
     schemes = ("lie_trotter", "strang", "rk4")
     groups = [
         (f"dt[{s}]", dt_list,
-         [(f"{s} dt={dt:g}", f"split_{s}_dt_{dt:g}", cfg.replace(scheme=s, dt=dt))
+         [(f"{s} dt={short_repr(dt)}", f"split_{s}_dt_{dt:g}", cfg.replace(scheme=s, dt=dt))
           for dt in dt_list],
          f"sweep_summary_{s}.csv")
         for s in schemes

@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import SimState, rhs_columns, rhs_columns_and_speed
+from .spectral import helmholtz_table, k2_table
 
 #: largest advective CFL number max|u| dt / h a step accepts
 CFL_LIMIT = 0.5
@@ -108,8 +109,10 @@ def _decay(state: SimState, dt: float) -> np.ndarray | None:
     """exp(-nu dt k^2 / (1 + alpha^2 k^2)) on the retained columns; None for the identity."""
     if state.nu == 0.0 or dt == 0.0:
         return None
-    k2 = state.grid.K2[:, : state.columns.shape[1]]
-    return np.exp(-state.nu * dt * k2 / (1.0 + state.alpha**2 * k2))
+    grid, w = state.grid, state.columns.shape[1]
+    rate = (-state.nu * dt) * k2_table(grid, w)
+    rate /= helmholtz_table(grid, w, state.alpha)
+    return np.exp(rate, out=rate)
 
 
 def _diffused(columns: np.ndarray, decay: np.ndarray | None) -> np.ndarray:

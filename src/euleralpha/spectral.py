@@ -16,7 +16,8 @@ are integers. Scalar fields are represented two ways:
   (``rfft2`` layout): states, initial conditions, sweep payloads and
   :func:`rhs_factors` hold only it. ``SimState.q_hat`` expands it to the
   full ``(n, n)`` spectrum. Every multiplier below acts on either, or on any
-  leading block ``(..., n, w)``, by slicing the grid's table to w.
+  leading block ``(..., n, w)``: it forms its ``(n, w)`` table of k^2 or of
+  the mask from the grid's per-axis vectors, for the w columns it is given.
 
 Transform normalization (fixed once, relied on throughout):
 
@@ -30,7 +31,7 @@ integrals follow as ``int f dx = (2pi)**2 * coeff(0,0) / n**2`` and
 Dealiasing uses the 2/3 rule: a mode is kept iff ``|kx| < n/3`` and
 ``|ky| < n/3``, which in particular always removes the Nyquist modes. Every
 column of the retained block has ky <= kmax_dealias < n/3, so on the block
-the mask is its row mask |kx| < n/3, ``dealias_mask[:, :1]``.
+the mask is its row mask |kx| < n/3, ``TorusGrid.dealias_rows``.
 First-derivative multipliers zero the Nyquist wavenumber as well so odd
 derivatives of real fields stay real.
 """
@@ -47,6 +48,10 @@ class TorusGrid:
     """
     Precomputed spectral quantities for the periodic square [0, 2pi)^2.
 
+    The grid keeps per-axis vectors and the buffer of :func:`rhs_factors`, and no
+    ``(n, n)`` table: a multiplier forms its table of k^2 (:func:`k2_table`) or of the
+    2/3 mask (:func:`dealias_table`) on the columns it is given.
+
     Parameters
     ----------
     n : int
@@ -58,12 +63,14 @@ class TorusGrid:
         Collocation coordinates ``2pi * i / n``, per axis.
     kx : ndarray, shape (n,)
         Integer wavenumbers in FFT order (0, 1, ..., -n/2, ..., -1), per axis.
-    K2 : ndarray, shape (n, n)
-        Squared magnitude ``kx**2 + ky**2``.
+    kx2 : ndarray, shape (n,)
+        Their squares ``kx**2``.
     DX, DY : ndarray, shapes (n, 1) and (1, n), complex
         First-derivative multipliers ``i*k``, Nyquist mode zeroed; they broadcast.
-    dealias_mask : ndarray of bool, shape (n, n)
-        True iff ``|kx| < n/3`` and ``|ky| < n/3`` (2/3 rule).
+    kept : ndarray of bool, shape (n,)
+        True iff ``|k| < n/3`` (2/3 rule), per axis.
+    dealias_rows : ndarray of bool, shape (n, 1)
+        ``kept`` as a column: the 2/3 mask on every column ky <= kmax_dealias.
     kmax_dealias : int
         Largest retained wavenumber magnitude per axis.
     h : float
@@ -73,10 +80,11 @@ class TorusGrid:
     n: int
     x: np.ndarray = field(init=False, repr=False)
     kx: np.ndarray = field(init=False, repr=False)
-    K2: np.ndarray = field(init=False, repr=False)
+    kx2: np.ndarray = field(init=False, repr=False)
     DX: np.ndarray = field(init=False, repr=False)
     DY: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
+    kept: np.ndarray = field(init=False, repr=False)
+    dealias_rows: np.ndarray = field(init=False, repr=False)
     kmax_dealias: int = field(init=False)
     h: float = field(init=False)
     _rhs_factors: list = field(init=False, repr=False, compare=False)
@@ -89,7 +97,7 @@ class TorusGrid:
         s(self, "x", 2.0 * np.pi * np.arange(n) / n)
         k1 = np.fft.fftfreq(n, 1.0 / n)  # integer-valued floats
         s(self, "kx", k1)
-        s(self, "K2", k1[:, None] ** 2 + k1[None, :] ** 2)
+        s(self, "kx2", k1**2)
         # zero the (unpaired) Nyquist wavenumber in first derivatives
         kd = k1.copy()
         kd[n // 2] = 0.0
@@ -97,10 +105,29 @@ class TorusGrid:
         s(self, "DY", 1j * kd[None, :])
         cut = n / 3.0
         kept = np.abs(k1) < cut
-        s(self, "dealias_mask", kept[:, None] & kept[None, :])
+        s(self, "kept", kept)
+        s(self, "dealias_rows", kept[:, None])
         s(self, "kmax_dealias", int(np.ceil(cut)) - 1)
         s(self, "h", 2.0 * np.pi / n)
         s(self, "_rhs_factors", [None, np.empty((2, n, self.kmax_dealias + 1))])
+
+
+def k2_table(grid: TorusGrid, w: int) -> np.ndarray:
+    """A new ``(n, w)`` table of ``kx**2 + ky**2`` on the columns ky < w, the caller's to change."""
+    return np.add(grid.kx2[:, None], grid.kx2[None, :w])
+
+
+def helmholtz_table(grid: TorusGrid, w: int, alpha: float) -> np.ndarray:
+    """A new ``(n, w)`` table of ``1 + alpha**2 k**2``, scaled in place, with the bits of that sum."""
+    table = k2_table(grid, w)
+    table *= alpha**2
+    table += 1.0
+    return table
+
+
+def dealias_table(grid: TorusGrid, w: int) -> np.ndarray:
+    """The ``(n, w)`` 2/3 mask on the columns ky < w: ``|kx| < n/3`` and ``|ky| < n/3``."""
+    return grid.dealias_rows & grid.kept[None, :w]
 
 
 def forward_transform(values: np.ndarray) -> np.ndarray:
@@ -146,27 +173,29 @@ def rhs_factors(grid: TorusGrid, alpha: float) -> np.ndarray:
     """
     cached_alpha, factors = grid._rhs_factors
     if cached_alpha != alpha:
-        k2 = grid.K2[:, : grid.kmax_dealias + 1]
-        smooth = 1.0 + alpha**2 * k2
-        np.divide(1.0, smooth * np.where(k2 == 0.0, 1.0, k2), out=factors[0])
+        w = grid.kmax_dealias + 1
+        k2, smooth = k2_table(grid, w), helmholtz_table(grid, w, alpha)
         np.divide(k2, smooth, out=factors[1])
+        k2[0, 0] = 1.0  # the mean mode's guard: no other k^2 is 0
+        np.divide(1.0, np.multiply(smooth, k2, out=factors[0]), out=factors[0])
         grid._rhs_factors[0] = alpha
     return factors
 
 
 def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Spectral Laplacian, multiplier ``-k**2``."""
-    return -grid.K2[:, : coeffs.shape[-1]] * coeffs
+    k2 = k2_table(grid, coeffs.shape[-1])
+    return np.negative(k2, out=k2) * coeffs
 
 
 def helmholtz(grid: TorusGrid, coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Apply ``1 - alpha**2 * Lap``, i.e. the multiplier ``1 + alpha**2 k**2``."""
-    return (1.0 + alpha**2 * grid.K2[:, : coeffs.shape[-1]]) * coeffs
+    return helmholtz_table(grid, coeffs.shape[-1], alpha) * coeffs
 
 
 def inverse_helmholtz(grid: TorusGrid, coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Apply ``(1 - alpha**2 * Lap)^-1``, the smoothing filter ``1/(1 + alpha**2 k**2)``."""
-    return coeffs / (1.0 + alpha**2 * grid.K2[:, : coeffs.shape[-1]])
+    return coeffs / helmholtz_table(grid, coeffs.shape[-1], alpha)
 
 
 def ddx(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -181,7 +210,7 @@ def ddy(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def dealias(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Zero all modes outside the 2/3-rule mask (idempotent)."""
-    return coeffs * grid.dealias_mask[:, : coeffs.shape[-1]]
+    return coeffs * dealias_table(grid, coeffs.shape[-1])
 
 
 def integral(grid: TorusGrid, coeffs: np.ndarray) -> float:

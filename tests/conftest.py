@@ -42,6 +42,17 @@ def _ifft_real(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(coeffs).real
 
 
+def square_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The full ``(n, n)`` tables formed from ``grid.kx``: ``K2 = kx**2 + ky**2`` and the
+    2/3 mask ``|kx| < n/3 and |ky| < n/3``. Their column slices are what the per-call
+    tables of ``spectral.k2_table`` and ``spectral.dealias_table`` must equal.
+    """
+    k = grid.kx
+    kept = np.abs(k) < grid.n / 3.0
+    return k[:, None] ** 2 + k[None, :] ** 2, kept[:, None] & kept[None, :]
+
+
 def mesh(grid: TorusGrid) -> list[np.ndarray]:
     """The collocation coordinates (X, Y) as an ``indexing="ij"`` meshgrid."""
     return np.meshgrid(grid.x, grid.x, indexing="ij")
@@ -83,7 +94,8 @@ def stream_from_omega(grid: TorusGrid, omega_hat: np.ndarray) -> np.ndarray:
     scale = np.abs(omega_hat).max()
     if np.abs(omega_hat[0, 0]) > _MEAN_RTOL * (1.0 + scale):
         raise ValueError("stream-function solve requires a mean-zero vorticity")
-    psi_hat = omega_hat / np.where(grid.K2 == 0.0, 1.0, grid.K2)
+    k2 = square_tables(grid)[0]
+    psi_hat = omega_hat / np.where(k2 == 0.0, 1.0, k2)
     psi_hat[0, 0] = 0.0
     return psi_hat
 
@@ -154,7 +166,7 @@ def direct_rhs(state: SimState) -> np.ndarray:
     out = -adv_hat
     if state.nu != 0.0:
         omega_hat = omega_from_q(grid, q_hat, state.alpha)
-        out = out - state.nu * grid.K2 * omega_hat
+        out = out - state.nu * square_tables(grid)[0] * omega_hat
     out[0, 0] = 0.0
     return out
 
@@ -208,7 +220,7 @@ def direct_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     ux, uy = _ifft_real(ux_hat), _ifft_real(uy_hat)
     vx = _ifft_real(helmholtz(grid, ux_hat, state.alpha))
     vy = _ifft_real(helmholtz(grid, uy_hat, state.alpha))
-    weight = 1.0 + state.alpha**2 * grid.K2
+    weight = 1.0 + state.alpha**2 * square_tables(grid)[0]
     total = np.sum(weight * (np.abs(ux_hat) ** 2 + np.abs(uy_hat) ** 2))
     energy = 0.5 * float(total) * (2.0 * np.pi) ** 2 / grid.n**4
     assert abs(energy - energy_quadrature(grid, ux, uy, vx, vy)) <= 1e-11 * max(energy, 1e-300)
@@ -246,7 +258,7 @@ def nd_rhs_and_velocity(state: SimState, q: np.ndarray):
     """
     grid = state.grid
     n, w = grid.n, grid.kmax_dealias + 1
-    mask = grid.dealias_mask[:, :w]
+    mask = square_tables(grid)[1][:, :w]
     q_masked = q * mask
     qx, qy, ux, uy = np.fft.irfft2(half_fields(grid, q_masked, state.alpha), s=(n, n))
     out = -(np.fft.rfft2(ux * qx + uy * qy)[:, :w] * mask)

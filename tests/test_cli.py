@@ -184,6 +184,14 @@ class TestSweepCommands:
         out = capsys.readouterr().out
         assert "fitted log-log slope" in out
 
+    def test_sweep_table_prints_distinct_values_distinctly(self, capsys):
+        # both values read 0.123457 at 6 significant digits
+        code = main(["sweep-nu", "--n", "16", "--ic-band", "2", "--dt", "0.01",
+                     "--t-final", "0.05", "--nu-list", "0.1234568,0.1234567"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[2:4]
+        assert [row.split()[0] for row in rows] == ["0.1234568", "0.1234567"]
+
     @pytest.mark.parametrize("command, key", [
         ("sweep-nu", "nu_list"),
         ("sweep-alpha", "alpha_list"),

@@ -287,6 +287,23 @@ class TestRun:
         manifest = (out / "manifest.txt").read_text()
         assert "code_version" in manifest and "wall_time_s" in manifest
 
+    def test_short_n512_run_peaks_below_66_n_squared_bytes(self, tmp_path):
+        # one rk4 step at n = 512, a diagnostics row and a snapshot at steps 0 and 1:
+        # traced, the run peaks at 61.9 n^2 B; a grid that held (n, n) tables of k^2
+        # and the 2/3 mask (9 n^2 B) took it to 70.9 n^2 B
+        n = 512
+        cfg = self._tiny_cfg(tmp_path, n=n, alpha=0.25, nu=0.0, dt=1e-3, t_final=1e-3,
+                             ic="random_bandlimited", ic_band=4, seed=0,
+                             save_every=1, diag_every=1)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "out").glob("snap_*.eaf"))) == 2
+        assert peak <= 66 * n * n, f"{peak / n**2:.1f} n^2 B"
+
     def test_zero_velocity_ic_gives_all_zero_rows(self, tmp_path):
         cfg = self._tiny_cfg(tmp_path, ic_amplitude=0.0, nu=0.0)
         run(cfg)
@@ -492,13 +509,15 @@ class TestSweepNu:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_members_printing_alike_refuse_one_directory(self, workers, tmp_path, inline_pool):
-        # 0.1234568 and 0.1234567 both print as 0.123457, the name of one directory
+        # 0.1234568 and 0.1234567 both print as 0.123457, the name of one directory;
+        # the message's member labels tell them apart
         out = tmp_path / "o"
         cfg = _sweep_cfg(t_final=0.05, out=str(out))
         with pytest.raises(ConfigError, match="share the output directory") as caught:
             sweep_nu(cfg, (0.1234568, 0.1234567), workers=workers)
         message = str(caught.value)
-        assert str(out / "nu_0.123457") in message and message.count("nu=0.123457") == 2
+        assert str(out / "nu_0.123457") in message
+        assert "members nu=0.1234568 and nu=0.1234567 " in message
         assert not out.exists() and inline_pool.sizes == []
 
 

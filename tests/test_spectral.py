@@ -12,10 +12,13 @@ from euleralpha.spectral import (
     ddy,
     dealias,
     forward_transform,
+    dealias_table,
     grid_pass,
     helmholtz,
+    helmholtz_table,
     integral,
     inverse_helmholtz,
+    k2_table,
     l2_norm,
     laplacian,
     rhs_factors,
@@ -24,7 +27,7 @@ from euleralpha.spectral import (
 from euleralpha.checks import helmholtz_pair_residuals, transform_residuals
 from euleralpha.dynamics import leray_project_hats
 
-from conftest import hermitian_defect, inverse_transform, mesh, random_band_hat
+from conftest import hermitian_defect, inverse_transform, mesh, random_band_hat, square_tables
 
 
 class TestTorusGrid:
@@ -42,48 +45,77 @@ class TestTorusGrid:
 
     def test_dealias_mask_two_thirds_rule(self, grid32):
         # n=32: keep |k| <= 10 (strictly below 32/3)
+        mask = dealias_table(grid32, 32)
         assert grid32.kmax_dealias == 10
-        assert grid32.dealias_mask[10, 0]
-        assert not grid32.dealias_mask[11, 0]
-        assert not grid32.dealias_mask[0, 16]  # Nyquist always masked
+        assert mask[10, 0]
+        assert not mask[11, 0]
+        assert not mask[0, 16]  # Nyquist always masked
 
     def test_mask_symmetric_under_k_negation(self, grid32):
         n = grid32.n
         idx = (-np.arange(n)) % n
-        assert np.array_equal(grid32.dealias_mask, grid32.dealias_mask[np.ix_(idx, idx)])
+        mask = dealias_table(grid32, n)
+        assert np.array_equal(mask, mask[np.ix_(idx, idx)])
 
     def test_block_mask_is_its_row_mask(self):
         # every retained column has ky <= kmax < n/3, so on the block the 2/3 mask
-        # is |kx| < n/3, the dealias_mask[:, :1] the RHS pass masks the block with
+        # is |kx| < n/3, the dealias_rows the RHS pass masks the block with
         for n in range(8, 1025, 2):
             grid = TorusGrid(n)
             w = grid.kmax_dealias + 1
-            assert np.array_equal(grid.dealias_mask[:, :w],
-                                  np.broadcast_to(grid.dealias_mask[:, :1], (n, w)))
-            assert np.array_equal(grid.dealias_mask[:, 0], np.abs(grid.kx) < n / 3)
+            assert np.array_equal(dealias_table(grid, w),
+                                  np.broadcast_to(grid.dealias_rows, (n, w)))
+            assert grid.dealias_rows.shape == (n, 1)
+            assert np.array_equal(grid.dealias_rows[:, 0], np.abs(grid.kx) < n / 3)
+            assert np.array_equal(grid.kept, np.abs(grid.kx) < n / 3)
 
     def test_nyquist_always_masked(self):
         for n in (8, 12, 24, 64):
-            g = TorusGrid(n)
-            assert not g.dealias_mask[n // 2, :].any()
-            assert not g.dealias_mask[:, n // 2].any()
+            mask = dealias_table(TorusGrid(n), n)
+            assert not mask[n // 2, :].any()
+            assert not mask[:, n // 2].any()
 
-    def test_holds_no_other_square_array(self):
-        # the grid keeps K2 and the dealias mask, the buffer of rhs_factors on
-        # the retained block and per-axis vectors, and no other (n, n) mesh
-        n = 64
-        grid = TorusGrid(n)
-        w = grid.kmax_dealias + 1
-        held = {name: value for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
-        held.update(rhs_factors=grid._rhs_factors[1])
-        assert {name for name, a in held.items() if a.size >= n * n} == {"K2", "dealias_mask"}
-        assert held["rhs_factors"].shape == (2, n, w)
-        assert all(max(a.shape) == a.size == n for name, a in held.items()
-                   if name not in ("K2", "dealias_mask", "rhs_factors"))
-        vectors = 8 * n + 8 * n + 16 * n + 16 * n  # x, kx, DX, DY
-        squares = 8 * n * n + n * n + 8 * 2 * n * w
-        assert sum(a.nbytes for a in held.values()) == squares + vectors
-        assert np.array_equal(grid.x, 2.0 * np.pi * np.arange(n) / n)
+    def test_holds_no_array_of_n_squared_elements(self):
+        # the grid keeps per-axis vectors and the buffer of rhs_factors on the
+        # retained block, and no array of n^2 or more elements
+        for n in (8, 64, 1024):
+            grid = TorusGrid(n)
+            w = grid.kmax_dealias + 1
+            held = {name: a for name, a in vars(grid).items() if isinstance(a, np.ndarray)}
+            held.update(rhs_factors=grid._rhs_factors[1])
+            assert set(held) == {"x", "kx", "kx2", "DX", "DY", "kept", "dealias_rows",
+                                 "rhs_factors"}
+            assert all(a.size < n * n for a in held.values())
+            assert held["rhs_factors"].shape == (2, n, w)
+            assert all(max(a.shape) == a.size == n for name, a in held.items()
+                       if name != "rhs_factors")
+            vectors = 8 * n * 3 + 16 * n * 2 + n * 2  # x, kx, kx2; DX, DY; kept, dealias_rows
+            assert sum(a.nbytes for a in held.values()) == 8 * 2 * n * w + vectors
+            assert np.array_equal(grid.x, 2.0 * np.pi * np.arange(n) / n)
+            assert np.array_equal(grid.kx2, grid.kx**2)
+
+
+class TestPerCallTables:
+    """The (n, w) tables a multiplier forms per call are the full tables' column slices, bit for bit."""
+
+    TABLES = {
+        "k2": (lambda grid, w: k2_table(grid, w), lambda k2, mask: k2),
+        "helmholtz": (lambda grid, w: helmholtz_table(grid, w, 0.3),
+                      lambda k2, mask: 1.0 + 0.3**2 * k2),
+        "dealias": (lambda grid, w: dealias_table(grid, w), lambda k2, mask: mask),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_tables_are_full_table_slices(self, name):
+        per_call, full_table = self.TABLES[name]
+        for n in range(8, 1025, 2):
+            grid = TorusGrid(n)
+            full = full_table(*square_tables(grid))
+            for w in sorted({1, grid.kmax_dealias + 1, n // 2 + 1, n}):
+                table, expected = per_call(grid, w), full[:, :w]
+                assert table.shape == (n, w) and table.dtype == full.dtype
+                bits = np.int64 if full.dtype == np.float64 else np.bool_
+                assert np.array_equal(table.view(bits), expected.view(bits)), (n, w)
 
 
 class TestTransforms:
@@ -245,7 +277,8 @@ class TestGuardedK2:
         # (n, n) meshes with the guard np.where(K2 == 0, 1, K2)
         grid = TorusGrid(n)
         KX, KY = np.meshgrid(grid.kx, grid.kx, indexing="ij")
-        k2 = np.where(grid.K2 == 0.0, 1.0, grid.K2)
+        k2 = square_tables(grid)[0]
+        k2 = np.where(k2 == 0.0, 1.0, k2)
         rng = np.random.default_rng(n)
         w = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
         kdotw = (KX * w[0] + KY * w[1]) / k2
