@@ -289,8 +289,8 @@ class TestRun:
 
     def test_short_n512_run_peaks_below_66_n_squared_bytes(self, tmp_path):
         # one rk4 step at n = 512, a diagnostics row and a snapshot at steps 0 and 1:
-        # traced, the run peaks at 61.9 n^2 B; a grid that held (n, n) tables of k^2
-        # and the 2/3 mask (9 n^2 B) took it to 70.9 n^2 B
+        # traced, the run peaks at about 62 n^2 B; a grid that held (n, n) tables of k^2
+        # and the 2/3 mask (9 n^2 B) took it to 70-71 n^2 B
         n = 512
         cfg = self._tiny_cfg(tmp_path, n=n, alpha=0.25, nu=0.0, dt=1e-3, t_final=1e-3,
                              ic="random_bandlimited", ic_band=4, seed=0,
