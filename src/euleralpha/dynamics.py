@@ -71,7 +71,7 @@ from .spectral import (
 _ENERGY_QUADRATURE_RTOL = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimState:
     """
     Full dynamical state: spectral potential vorticity plus parameters.
@@ -187,7 +187,7 @@ def _rhs(state: SimState, q: np.ndarray, speed: bool) -> tuple[np.ndarray, float
     if viscous is not None:
         out -= viscous
     out[0, 0] = 0.0
-    return out, _peak(peaks) if speed else None
+    return out, float(np.max(peaks)) if speed else None
 
 
 def _max_speed(ux: np.ndarray, uy: np.ndarray, square: np.ndarray) -> float:
@@ -204,11 +204,6 @@ def _max_speed(ux: np.ndarray, uy: np.ndarray, square: np.ndarray) -> float:
         return float(np.hypot(ux, uy).max())
     near = square >= peak * (1.0 - 1e-12)
     return float(np.hypot(ux[near], uy[near]).max())
-
-
-def _peak(peaks: list[float]) -> float:
-    """The max of the blocks' max speeds, NaN if one is, as one max over the grid gives."""
-    return peaks[0] if len(peaks) == 1 else float(np.max(peaks))
 
 
 def rhs_columns(state: SimState, q: np.ndarray) -> np.ndarray:
@@ -309,7 +304,7 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     fields = np.empty((4, *q.shape), dtype=complex)
     u = velocity_columns(grid, q, alpha, fields[2:])
     fields[:2] = helmholtz(grid, u, alpha)  # v
-    energy = energy_hats(grid, u[0], u[1], alpha)
+    energy = 0.5 * sum(l2_inner(grid, u_c, v_c) for u_c, v_c in zip(u, fields[:2]))
     partials, peaks = [], []
 
     def quadrature(values):
@@ -329,7 +324,7 @@ def compute_diagnostics(state: SimState, dt: float = 0.0) -> Diagnostics:
     mean_q = integral(grid, q)
     casimir2 = l2_inner(grid, q, q)
     enstrophy = l2_inner(grid, omega, omega)
-    umax = _peak(peaks)
+    umax = float(np.max(peaks))
     return Diagnostics(
         t=state.t,
         energy=energy,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -95,6 +96,9 @@ class RunConfig:
     dt_list: tuple = ()
 
     def validate(self) -> "RunConfig":
+        for name, v in vars(self).items():
+            if name in _INT_KEYS and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not (8 <= self.n <= MAX_N and self.n % 2 == 0):
             raise ConfigError(f"n must be even, >= 8 and <= {MAX_N} (the size cap), got {self.n}")
         for name in ("alpha", "nu", "dt", "t_final", "ic_energy", "ic_amplitude"):
@@ -269,10 +273,10 @@ def _checked_omega0(cfg: RunConfig, grid: TorusGrid) -> tuple[np.ndarray, SimSta
     """:func:`make_omega0`'s vorticity and the checked initial state it gives at cfg."""
     omega_hat = make_omega0(cfg, grid)
     state = _initial_state(cfg, grid, omega_hat)
-    u = velocity_columns(grid, state.columns, cfg.alpha)
-    if cfg.ic == "random_bandlimited" and not (
-            abs(energy_hats(grid, *u, cfg.alpha) - cfg.ic_energy) <= 1e-12 * cfg.ic_energy):
-        raise ConfigError(f"ic_energy={cfg.ic_energy} underflows at alpha={cfg.alpha}, n={grid.n}")
+    if cfg.ic == "random_bandlimited":
+        u = velocity_columns(grid, state.columns, cfg.alpha)
+        if not abs(energy_hats(grid, *u, cfg.alpha) - cfg.ic_energy) <= 1e-12 * cfg.ic_energy:
+            raise ConfigError(f"ic_energy={cfg.ic_energy} underflows at alpha={cfg.alpha}, n={grid.n}")
     return omega_hat, state
 
 
@@ -453,21 +457,12 @@ def _sweep(cfg: RunConfig, groups, reference, workers: int) -> list[SweepResult]
     Run each group's ``(label, dirname, config)`` members, one per value, and the reference
     from one shared omega0, checked at cfg. A group ``(parameter, values, members, filename)``
     gets its members' distances (at their own alpha, weighted by cfg.alpha), fit and summary CSV.
-
-    With an output directory, two runs of different configs whose values print alike
-    (``{v:g}``) would write one directory: a ConfigError before any member starts.
     """
     runs = [*(m for group in groups for m in group[2]), reference]
     configs = [
         c.replace(out=None if cfg.out is None else str(Path(cfg.out) / dirname))
         for _, dirname, c in runs
     ]
-    owners: dict = {}
-    for (label, _, _), c in zip(runs, configs):
-        first, first_cfg = owners.setdefault(c.out, (label, c))
-        if c.out is not None and first_cfg != c:
-            raise ConfigError(f"sweep members {first} and {label} are different runs that would "
-                              f"share the output directory {c.out}")
     grid = TorusGrid(cfg.n)
     omega_hat = _checked_omega0(cfg, grid)[0]
     *q_members, q_ref = _map_members(configs, grid, omega_hat, [r[0] for r in runs], workers)
@@ -491,7 +486,7 @@ def sweep_nu(cfg: RunConfig, nu_list: Sequence[float], workers: int = 1) -> Swee
     the inviscid (nu = 0) reference from the identical initial condition.
     """
     nu_list = _sweep_values(cfg, "nu_list", nu_list)
-    members = [(f"nu={short_repr(v)}", f"nu_{v:g}", cfg.replace(nu=v)) for v in nu_list]
+    members = [(f"nu={short_repr(v)}", f"nu_{short_repr(v)}", cfg.replace(nu=v)) for v in nu_list]
     reference = ("nu=0 (reference)", "nu_0", cfg.replace(nu=0.0))
     return _sweep(cfg, [("nu", nu_list, members, "sweep_summary.csv")], reference, workers)[0]
 
@@ -505,7 +500,7 @@ def sweep_alpha(cfg: RunConfig, alpha_list: Sequence[float], workers: int = 1) -
     alpha_list = _sweep_values(cfg, "alpha_list", alpha_list, positive=False)
     for v in alpha_list:
         _check_alpha(v, cfg.n)
-    members = [(f"alpha={short_repr(v)}", f"alpha_{v:g}", cfg.replace(alpha=v, nu=0.0))
+    members = [(f"alpha={short_repr(v)}", f"alpha_{short_repr(v)}", cfg.replace(alpha=v, nu=0.0))
                for v in alpha_list]
     reference = ("alpha=0 (reference)", "alpha_0", cfg.replace(alpha=0.0, nu=0.0))
     return _sweep(cfg, [("alpha", alpha_list, members, "sweep_summary.csv")], reference, workers)[0]
@@ -527,8 +522,8 @@ def splitting_order_study(
     schemes = ("lie_trotter", "strang", "rk4")
     groups = [
         (f"dt[{s}]", dt_list,
-         [(f"{s} dt={short_repr(dt)}", f"split_{s}_dt_{dt:g}", cfg.replace(scheme=s, dt=dt))
-          for dt in dt_list],
+         [(f"{s} dt={short_repr(dt)}", f"split_{s}_dt_{short_repr(dt)}",
+           cfg.replace(scheme=s, dt=dt)) for dt in dt_list],
          f"sweep_summary_{s}.csv")
         for s in schemes
     ]

@@ -39,7 +39,7 @@ DIAG_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
     """In-memory image of one snapshot file."""
 

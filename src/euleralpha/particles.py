@@ -32,7 +32,7 @@ from .integrators import NumericsFailure, _march, step_rk4
 from .spectral import TorusGrid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleMap:
     """Marker positions approximating the flow map on an m x m lattice."""
 
@@ -96,21 +96,19 @@ class EvalWorkspace:
     contiguous prefix: exp(i k x) and exp(i k y) for k = 0..kmax, their
     cos rows over their sin rows (X over Y), the table times X, and the
     two components (an einsum straight into the (M, 2) result ran 2-4x
-    slower). Every evaluation overwrites what it reads, so a workspace can
-    serve any number of calls on its grid with up to ``markers`` points
-    (or any number, once ``markers`` reaches ``_BLOCK``). It holds only
-    buffers: every call builds the coefficient table of the fields it is
-    given.
+    slower). They hold one block of ``_BLOCK`` markers, and every evaluation
+    overwrites what it reads, so a workspace can serve any number of calls
+    with any number of points on its grid. It holds only buffers: every call
+    builds the coefficient table of the fields it is given.
     """
 
-    def __init__(self, grid: TorusGrid, markers: int):
+    def __init__(self, grid: TorusGrid):
         w = grid.kmax_dealias + 1
-        b = min(_BLOCK, markers)
-        self.n, self.block = grid.n, b
-        self.powers = np.empty(2 * w * b, dtype=np.complex128)
-        self.trig = np.empty(4 * w * b)
-        self.amp = np.empty(4 * w * b)
-        self.comps = np.empty(2 * b)
+        self.n = grid.n
+        self.powers = np.empty(2 * w * _BLOCK, dtype=np.complex128)
+        self.trig = np.empty(4 * w * _BLOCK)
+        self.amp = np.empty(4 * w * _BLOCK)
+        self.comps = np.empty(2 * _BLOCK)
 
 
 def eval_velocity_at(
@@ -146,12 +144,9 @@ def eval_velocity_at(
         raise ValueError("evaluation points must be finite")
     m = points.shape[0]
     if workspace is None:
-        workspace = EvalWorkspace(grid, m)
-    elif workspace.n != grid.n or workspace.block < min(_BLOCK, m):
-        raise ValueError(
-            f"workspace for n={workspace.n} and {workspace.block} markers per block "
-            f"cannot evaluate {m} points at n={grid.n}"
-        )
+        workspace = EvalWorkspace(grid)
+    elif workspace.n != grid.n:
+        raise ValueError(f"workspace for n={workspace.n} cannot evaluate points at n={grid.n}")
     w = grid.kmax_dealias + 1
     table = _coefficient_table(grid, u_hats)
     out = np.empty((m, 2))
@@ -189,7 +184,7 @@ def advect_particles(
     u0, u_half, u1 = stages
     x = pm.positions
     if workspace is None:
-        workspace = EvalWorkspace(grid, len(x))
+        workspace = EvalWorkspace(grid)
 
     def stage(k, h):
         # x + h k, rounded as x + (h * k), in one (M, 2) array
@@ -226,7 +221,7 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
     :func:`~euleralpha.integrators.integrate` does. Returns ``(state, pm)``
     at t_final. Every marker step evaluates in one :class:`EvalWorkspace`.
     """
-    workspace = EvalWorkspace(state.grid, len(pm.positions))
+    workspace = EvalWorkspace(state.grid)
 
     def coupled(s: SimState, step_dt: float) -> SimState:
         nonlocal pm
@@ -245,7 +240,7 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
     return state, pm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianField:
     """det(D eta) estimates on the marker lattice, with per-cell flags."""
 

@@ -55,7 +55,7 @@ class TorusGrid:
     Parameters
     ----------
     n : int
-        Grid points per dimension; must be even and >= 8.
+        Grid points per dimension, even and >= 8; grids compare and hash by n alone.
 
     Attributes
     ----------
@@ -78,13 +78,13 @@ class TorusGrid:
     """
 
     n: int
-    x: np.ndarray = field(init=False, repr=False)
-    kx: np.ndarray = field(init=False, repr=False)
-    kx2: np.ndarray = field(init=False, repr=False)
-    DX: np.ndarray = field(init=False, repr=False)
-    DY: np.ndarray = field(init=False, repr=False)
-    kept: np.ndarray = field(init=False, repr=False)
-    dealias_rows: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    kx: np.ndarray = field(init=False, repr=False, compare=False)
+    kx2: np.ndarray = field(init=False, repr=False, compare=False)
+    DX: np.ndarray = field(init=False, repr=False, compare=False)
+    DY: np.ndarray = field(init=False, repr=False, compare=False)
+    kept: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_rows: np.ndarray = field(init=False, repr=False, compare=False)
     kmax_dealias: int = field(init=False)
     h: float = field(init=False)
     _rhs_factors: list = field(init=False, repr=False, compare=False)

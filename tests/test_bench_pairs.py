@@ -5,6 +5,7 @@ set, the change's another, so the expected ratios and pair counts are known.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,10 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 # prints the metrics of VALUES.json for --workload all, or of one workload,
-# after an env comment; its WORKLOAD_CLASSES serve the fault probe
+# after an env comment; its WORKLOAD_CLASSES serve the fault probe, whose
+# builds append the side's name to the file PROBE_LOG names, if it is set
 STUB_RUN = '''
-import json, sys
+import json, os, sys
 from pathlib import Path
 HERE = Path(__file__).resolve().parent
 VALUES = json.loads((HERE.parent / "VALUES.json").read_text())
@@ -28,7 +30,9 @@ class Body:
     def __init__(self, ea, seed):
         pass
     def build(self):
-        pass
+        if "PROBE_LOG" in os.environ:
+            with open(os.environ["PROBE_LOG"], "a") as log:
+                print(VALUES["side"], file=log)
     def body(self, out):
         bytearray(VALUES["faulting_bytes"])
 
@@ -77,16 +81,16 @@ def stub_repo(tmp_path):
     _git(repo, "config", "user.name", "bench")
     parent = _commit(repo, {"metrics": {"time_to_solution_s": [2.0, "s"], "steps_per_s": [10.0, "1/s"],
                                         "peak_rss_mb": [50.0, "MiB"]},
-                            "failed": 0, "faulting_bytes": 1}, "parent")
+                            "failed": 0, "faulting_bytes": 1, "side": "parent"}, "parent")
     change = _commit(repo, {"metrics": {"time_to_solution_s": [1.5, "s"], "steps_per_s": [12.5, "1/s"],
                                         "peak_rss_mb": [50.0, "MiB"]},
-                            "failed": 1, "faulting_bytes": 1 << 24}, "change")
+                            "failed": 1, "faulting_bytes": 1 << 24, "side": "change"}, "change")
     return repo, parent, change
 
 
-def _bench(repo, *args):
+def _bench(repo, *args, env=None):
     return subprocess.run([sys.executable, str(TOOL), *args], cwd=repo, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, env=env)
 
 
 def test_pairs_layout_and_ratios(stub_repo):
@@ -121,12 +125,16 @@ def test_pairs_layout_and_ratios(stub_repo):
     assert _git(repo, "worktree", "list").count("\n") == 0
 
 
-def test_section_and_fault_probe(stub_repo):
+def test_section_and_fault_probe(stub_repo, tmp_path):
     repo, parent, _ = stub_repo
     (repo / "out.json").write_text(json.dumps({"what": "kept"}))
+    log = tmp_path / "probes.log"
     done = _bench(repo, parent, "--workload", "wl_a", "--pairs", "1",
-                  "--faults", "2", "--out", "out.json", "--section", "recheck")
+                  "--faults", "2", "--out", "out.json", "--section", "recheck",
+                  env=dict(os.environ, PROBE_LOG=str(log)))
     assert done.returncode == 0, done.stderr
+    # one probe process per side and half: parent, change, change, parent
+    assert log.read_text().split() == ["parent", "change", "change", "parent"]
     result = json.loads((repo / "out.json").read_text())
     assert result["what"] == "kept"
     recheck = result["recheck"]
@@ -139,8 +147,22 @@ def test_section_and_fault_probe(stub_repo):
     assert faults["change"]["median_minor_faults"] >= 4096 > faults["parent"]["median_minor_faults"]
     parent_rss, change_rss = faults["parent"]["max_rss_mib"], faults["change"]["max_rss_mib"]
     assert len(parent_rss) == 2 == len(change_rss) and parent_rss[0] > 0.0
-    assert parent_rss == sorted(parent_rss) and change_rss == sorted(change_rss)
     assert min(change_rss) >= max(parent_rss) + 12.0
+
+
+def test_odd_fault_count_splits_over_the_probes(stub_repo, tmp_path):
+    # 3 bodies: the first probe of each side runs 2, the second 1; within a
+    # process the peak RSS after each body does not fall
+    repo, parent, _ = stub_repo
+    log = tmp_path / "probes.log"
+    done = _bench(repo, parent, "--workload", "wl_a", "--pairs", "1", "--faults", "3",
+                  "--out", "out.json", env=dict(os.environ, PROBE_LOG=str(log)))
+    assert done.returncode == 0, done.stderr
+    assert log.read_text().split() == ["parent", "change", "change", "parent"]
+    faults = json.loads((repo / "out.json").read_text())["body_faults"]["wl_a"]
+    for side in ("parent", "change"):
+        rss = faults[side]["max_rss_mib"]
+        assert len(rss) == 3 == len(faults[side]["minor_faults"]) and rss[0] <= rss[1]
 
 
 def test_failed_run_stops_the_tool(stub_repo):

@@ -32,6 +32,8 @@ from euleralpha.dynamics import (
     vorticity_values,
 )
 from euleralpha.experiments import RunConfig, run
+from euleralpha.output import read_snapshot, write_snapshot
+from euleralpha.particles import ParticleMap, jacobian_determinant
 from euleralpha.spectral import (
     TorusGrid,
     dealias,
@@ -113,6 +115,20 @@ class TestSimState:
         hermitian = state.columns.copy()
         hermitian[:, 0] = 0.5 * (col0 + np.conj(col0_reflected))
         assert hermitian_defect(state.replace(columns=hermitian).q_hat) == 0.0
+
+
+def test_grids_compare_by_n_and_array_holders_by_identity(grid16, tmp_path):
+    # a dataclass's generated == on array fields would raise on their truth value
+    assert TorusGrid(16) == grid16 and hash(TorusGrid(16)) == hash(grid16)
+    assert TorusGrid(32) != grid16 and {TorusGrid(16): 1}[grid16] == 1
+    state = SimState(grid16, np.zeros((16, 6), dtype=complex), 0.1)
+    write_snapshot(tmp_path / "s.eaf", 16, 0.1, 0.0, 0.0, np.zeros((16, 16)))
+    pm = ParticleMap.lattice(4)
+    twins = [(state, state.replace()), (pm, ParticleMap.lattice(4)),
+             (jacobian_determinant(pm), jacobian_determinant(pm)),
+             (read_snapshot(tmp_path / "s.eaf"), read_snapshot(tmp_path / "s.eaf"))]
+    for one, other in twins:
+        assert one == one and one != other and len({one, other}) == 2
 
 
 class TestOmegaFromQ:
@@ -395,9 +411,25 @@ class TestRowBlocks:
                 speeds.append(rhs_columns_and_speed(state, state.columns)[1])
         assert np.array_equal(speeds, [speeds[0]] * 3, equal_nan=True)
         assert np.isnan(speeds[0]) if not np.isfinite(bad) else np.isfinite(speeds[0])
-        # a NaN in any one block is the grid's max, as one max over the grid gives
-        for peaks in ([1.0, np.nan, 2.0], [np.nan, 1.0], [2.0, 1.0, np.nan]):
-            assert np.isnan(dynamics._peak(peaks))
+        # a NaN speed in any one block, the first, second or last, is the grid's max,
+        # as one max over the grid gives
+        state = random_state(grid, alpha=0.3, kmax=grid.kmax_dealias, seed=4)
+        max_speed = dynamics._max_speed
+        for blocking in ("one row", "ragged"):
+            monkeypatch.setattr(dynamics, "_max_speed", max_speed)
+            rows = self.use_blocks(monkeypatch, self.BLOCKINGS[blocking])
+            assert np.isfinite(rhs_columns_and_speed(state, state.columns)[1])
+            blocks = len(rows)
+            for nan_block in (0, 1, blocks - 1):
+                calls = []
+
+                def one_nan(ux, uy, square):
+                    calls.append(len(calls))
+                    return np.nan if calls[-1] == nan_block else max_speed(ux, uy, square)
+
+                monkeypatch.setattr(dynamics, "_max_speed", one_nan)
+                assert np.isnan(rhs_columns_and_speed(state, state.columns)[1])
+                assert len(calls) == blocks > 2
 
     @pytest.mark.parametrize("blocking", ["one row", "ragged"])
     def test_run_files(self, blocking, monkeypatch, tmp_path):

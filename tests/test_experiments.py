@@ -116,6 +116,17 @@ class TestConfigParsing:
                                                   "of 1e\\+08 steps"):
                 RunConfig(t_final=t_final, dt=dt).validate()
 
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("ic_band", 2.0), ("save_every", 2.5),
+                                            ("n", np.float64(32.0)), ("workers", True)])
+    def test_integer_keys_refuse_other_numbers(self, key, value):
+        # on the library path a float seed or band would fail deep in numpy and a float
+        # cadence would run; numpy integers pass, and the CLI's strings are coerced by int()
+        message = f"{key} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(None, {key: value})
+        for integer in (np.int64(32), "32"):
+            assert getattr(load_config(None, {key: integer}), key) == 32
+
     def test_list_coercion(self):
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
         assert cfg.dt_list == (0.02, 0.01, 0.005)
@@ -508,17 +519,17 @@ class TestSweepNu:
         assert (tmp_path / "sweep_summary.csv").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_members_printing_alike_refuse_one_directory(self, workers, tmp_path, inline_pool):
-        # 0.1234568 and 0.1234567 both print as 0.123457, the name of one directory;
-        # the message's member labels tell them apart
+    def test_members_printing_alike_write_two_directories(self, workers, tmp_path, inline_pool):
+        # 0.1234568 and 0.1234567 both print as 0.123457 with {:g}; their directories,
+        # like their labels, are named by the shortest repr that reads back
         out = tmp_path / "o"
-        cfg = _sweep_cfg(t_final=0.05, out=str(out))
-        with pytest.raises(ConfigError, match="share the output directory") as caught:
-            sweep_nu(cfg, (0.1234568, 0.1234567), workers=workers)
-        message = str(caught.value)
-        assert str(out / "nu_0.123457") in message
-        assert "members nu=0.1234568 and nu=0.1234567 " in message
-        assert not out.exists() and inline_pool.sizes == []
+        cfg = _sweep_cfg(t_final=0.05, out=str(out), save_every=1000, diag_every=5)
+        res = sweep_nu(cfg, (0.1234568, 0.1234567), workers=workers)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "nu_0", "nu_0.1234567", "nu_0.1234568", "sweep_summary.csv"]
+        for v in res.values:
+            manifest = (out / f"nu_{v!r}" / "manifest.txt").read_text()
+            assert f"nu = {v!r}\n" in manifest
 
 
 class TestSweepAlpha:

@@ -127,23 +127,21 @@ class TestEvalVelocityAt:
 
     def test_no_points_give_an_empty_result(self, grid16):
         hats = (np.zeros((16, 16), dtype=complex),) * 2
-        for ws in (None, EvalWorkspace(grid16, 0), EvalWorkspace(grid16, 5 * B)):
+        for ws in (None, EvalWorkspace(grid16)):
             vals = eval_velocity_at(grid16, hats, np.zeros((0, 2)), ws)
             assert vals.shape == (0, 2) and vals.dtype == np.float64
 
     def test_rejects_a_workspace_that_does_not_fit(self, grid16, grid32):
         hats = (np.zeros((16, 16), dtype=complex),) * 2
         with pytest.raises(ValueError, match="workspace for n=32"):
-            eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid32, 4))
-        with pytest.raises(ValueError, match="3 markers per block cannot evaluate 4 points"):
-            eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid16, 3))
+            eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid32))
 
     def test_fields_changed_in_place_are_read_again(self, grid16):
         # a reused workspace keeps no table: after u *= 2 the same call, on the
         # same arrays, returns what a one-shot call on them does
         u = velocity_columns(grid16, random_state(grid16, alpha=0.25, seed=3).columns, 0.25)
         pts = np.random.default_rng(3).uniform(-5.0, 5.0, (7, 2))
-        ws = EvalWorkspace(grid16, len(pts))
+        ws = EvalWorkspace(grid16)
         first = eval_velocity_at(grid16, u, pts, ws)
         assert np.array_equal(first, eval_velocity_at(grid16, u, pts))
         u *= 2.0
@@ -254,7 +252,7 @@ class TestAdvectParticles:
         state = random_state(grid16, alpha=0.25, seed=4)
         stages = tuple(velocity_columns(grid16, state.columns * f, 0.25) for f in (1.0, 1.1, 1.2))
         pm = ParticleMap.lattice(4)
-        ws = EvalWorkspace(grid16, len(pm.positions))
+        ws = EvalWorkspace(grid16)
         advect_particles(pm, state, 0.05, stages, ws)
         assert calls == [ws] * 4
         assert tables == [stages[0], stages[1], stages[1], stages[2]]

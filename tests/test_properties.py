@@ -125,7 +125,7 @@ def test_reused_workspace_gives_one_shot_results(n, calls):
     # each on another field: nothing left from an earlier call may reach a
     # result, which must equal that of a call with fresh buffers bit for bit
     grid = TorusGrid(n)
-    ws = EvalWorkspace(grid, 3 * _BLOCK)
+    ws = EvalWorkspace(grid)
     for buf in (ws.powers, ws.trig, ws.amp, ws.comps):
         buf.fill(np.nan)
     for m, seed in calls:

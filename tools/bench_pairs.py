@@ -18,11 +18,13 @@ their ``src/`` tree hashes, the operations attempted and failed, and per
 workload and end-to-end metric both sides' runs, medians and inclusive
 quartiles, the ratio of the medians (change over parent) and the number of
 pairs that the change won. With ``--faults N`` each side then runs N bodies
-of every benchmarked workload in one process and records the wall time and
-the minor page faults (``resource.getrusage``) of each, and the process's
-peak resident set size (``ru_maxrss``) after each; pool workers are not
-counted. With ``--section`` the result is stored under that key of
-the ``--out`` file, whose other keys stay as they are.
+of every benchmarked workload in up to two processes, the probes alternating
+parent, change, change, parent with half the bodies each, so that a slow
+spell of the machine does not land on one side only. Each body's wall time
+and minor page faults (``resource.getrusage``) are recorded, and its
+process's peak resident set size (``ru_maxrss``) after it; pool workers are
+not counted. With ``--section`` the result is stored under that key of the
+``--out`` file, whose other keys stay as they are.
 """
 
 from __future__ import annotations
@@ -123,12 +125,27 @@ def compare(parent_runs: list[dict], change_runs: list[dict], workload: str, bet
     return table
 
 
-def body_faults(checkout: Path, workload: str, seed: int, bodies: int) -> dict:
+def probe(checkout: Path, workload: str, seed: int, bodies: int) -> list:
+    """``[body seconds, minor faults, ru_maxrss KiB]`` of ``bodies`` bodies in one process."""
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, workload, str(seed), str(bodies)],
                           cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"fault probe of {workload} in {checkout} failed:\n{done.stderr}")
-    per_body = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def body_faults(checkouts: dict, workload: str, seed: int, bodies: int) -> dict:
+    """Both sides' probes of ``workload``, run parent, change, change, parent, per side."""
+    per_side = {"parent": [], "change": []}
+    first, second = (bodies + 1) // 2, bodies // 2
+    for side, count in (("parent", first), ("change", first), ("change", second),
+                        ("parent", second)):
+        if count:
+            per_side[side] += probe(checkouts[side], workload, seed, count)
+    return {side: _fault_summary(per_body) for side, per_body in per_side.items()}
+
+
+def _fault_summary(per_body: list) -> dict:
     return {
         "body_s": [round(s, 6) for s, _, _ in per_body],
         "minor_faults": [f for _, f, _ in per_body],
@@ -177,11 +194,11 @@ def bench(repo: Path, parent_rev: str, workload: str, pairs: int, seed: int, fau
     }
     if faults:
         out["body_faults"] = {
-            "what": f"{faults} bodies per workload in one process per side, parent first; "
-                    "minor page faults of that process (resource.getrusage) per body and its "
-                    "ru_maxrss after each body, pool workers not counted",
-            **{wl: {side: body_faults(checkouts[side], wl, seed, faults) for side in commits}
-               for wl in out["workloads"]},
+            "what": f"{faults} bodies per workload and side in probe processes run parent, "
+                    "change, change, parent, each with half the bodies (the first two the odd "
+                    "one); minor page faults of the process (resource.getrusage) per body and "
+                    "its ru_maxrss after each body, pool workers not counted",
+            **{wl: body_faults(checkouts, wl, seed, faults) for wl in out["workloads"]},
         }
     return out
 
