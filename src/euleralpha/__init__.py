@@ -12,7 +12,6 @@ from .spectral import (  # noqa: F401
     dealias,
     ddx,
     ddy,
-    forward_transform,
     helmholtz,
     integral,
     inverse_helmholtz,

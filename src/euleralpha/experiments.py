@@ -41,13 +41,14 @@ from .dynamics import (
 )
 from .integrators import SCHEMES, CflViolation, NumericsFailure, advance, integrate
 from .output import DiagnosticsLog, snapshot_name, write_manifest, write_snapshot
-from .spectral import TorusGrid, forward_transform, l2_norm
+from .spectral import TorusGrid, l2_norm
 
 IC_NAMES = ("single_mode", "taylor_green", "random_bandlimited")
 
 #: largest accepted grid size: by arithmetic, at n = 4096 one grid and one state take
 #: about 0.17 GiB (rhs_factors 85 MiB, state 85 MiB; the grid keeps no (n, n) table);
-#: traced at n = 1024, an RHS adds 28 n^2 B (0.44 GiB at 4096), an RK4 step 44 n^2 B
+#: traced at n = 1024, an RHS adds 28 n^2 B (0.44 GiB at 4096), an RK4 step 44 n^2 B and a
+#: single-mode or Taylor-Green initial state 40 n^2 B (samples 8, complex copy 16, axis-1 pass 16)
 MAX_N = 4096
 
 #: largest accepted step count t_final / dt, compared as floats (an overflow is inf)
@@ -101,10 +102,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not (8 <= self.n <= MAX_N and self.n % 2 == 0):
             raise ConfigError(f"n must be even, >= 8 and <= {MAX_N} (the size cap), got {self.n}")
-        for name in ("alpha", "nu", "dt", "t_final", "ic_energy", "ic_amplitude"):
+        for name in _FLOAT_KEYS:
             v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
         if self.alpha < 0 or self.nu < 0:
             raise ConfigError("alpha and nu must be >= 0")
         _check_alpha(self.alpha, self.n)
@@ -129,8 +130,8 @@ class RunConfig:
             raise ConfigError(f"ic_energy must be positive, got {self.ic_energy}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.out is not None and not self.out.strip():
-            raise ConfigError("out must name a directory, got an empty value")
+        if self.out is not None and not (isinstance(self.out, str) and self.out.strip()):
+            raise ConfigError(f"out must name a directory as a non-empty str, got {self.out!r}")
         if self.out is not None and "\0" in self.out:
             raise ConfigError(f"out must not contain a NUL character, got {self.out!r}")
         return self
@@ -233,15 +234,16 @@ def make_omega0(cfg: RunConfig, grid: TorusGrid) -> np.ndarray:
                 raise ConfigError(f"ic_band={K} outside the dealiased band of n={grid.n}")
             omega_hat = _random_band_hat(grid, K, cfg.seed)
             return omega_hat * np.sqrt(cfg.ic_energy / _omega_energy(grid, omega_hat, cfg.alpha))
-        X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
+        x, y = grid.x[:, None], grid.x[None, :]
         if cfg.ic == "single_mode":
             k = (cfg.ic_kx, cfg.ic_ky)
             if max(abs(k[0]), abs(k[1])) > grid.kmax_dealias or k == (0, 0):
                 raise ConfigError(f"single_mode wavevector {k} outside the resolved band")
-            field = cfg.ic_amplitude * np.cos(k[0] * X + k[1] * Y)
+            field = cfg.ic_amplitude * np.cos(k[0] * x + k[1] * y)
         else:  # taylor_green
-            field = cfg.ic_amplitude * 2.0 * np.cos(X) * np.cos(Y)
-        return forward_transform(field)[:, : grid.kmax_dealias + 1].copy()
+            field = cfg.ic_amplitude * 2.0 * np.cos(x) * np.cos(y)
+        # fft2's own passes (axis 1, then axis 0 column by column), so the same bits on the block
+        return np.fft.fft(np.fft.fft(field, axis=1)[:, : grid.kmax_dealias + 1], axis=0)
 
 
 def _random_band_hat(grid: TorusGrid, K: int, seed: int) -> np.ndarray:

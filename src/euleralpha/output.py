@@ -66,6 +66,8 @@ def read_snapshot(path) -> Snapshot:
     raw = Path(path).read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: not a snapshot file (bad magic {raw[:4]!r})")
+    if len(raw) < 4 + _HEADER.size:
+        raise ValueError(f"{path}: truncated snapshot ({len(raw)} bytes, shorter than its header)")
     n, alpha, nu, time = _HEADER.unpack_from(raw, 4)
     expected = 4 + _HEADER.size + 8 * n * n
     if len(raw) != expected:

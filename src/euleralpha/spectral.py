@@ -19,7 +19,7 @@ are integers. Scalar fields are represented two ways:
   leading block ``(..., n, w)``: it forms its ``(n, w)`` table of k^2 or of
   the mask from the grid's per-axis vectors, for the w columns it is given.
 
-Transform normalization (fixed once, relied on throughout):
+Transform normalization (numpy's unnormalized ``fft2``, fixed once, relied on throughout):
 
     coeff(k) = sum_x f(x) exp(-i k.x)
 
@@ -128,11 +128,6 @@ def helmholtz_table(grid: TorusGrid, w: int, alpha: float) -> np.ndarray:
 def dealias_table(grid: TorusGrid, w: int) -> np.ndarray:
     """The ``(n, w)`` 2/3 mask on the columns ky < w: ``|kx| < n/3`` and ``|ky| < n/3``."""
     return grid.dealias_rows & grid.kept[None, :w]
-
-
-def forward_transform(values: np.ndarray) -> np.ndarray:
-    """Physical samples -> unnormalized Fourier coefficients."""
-    return np.fft.fft2(np.asarray(values, dtype=np.float64))
 
 
 #: float64 samples in one block of :func:`grid_pass`, 1 MiB (measured in the README);

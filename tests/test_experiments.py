@@ -34,7 +34,7 @@ from euleralpha.output import (
     snapshot_name,
     write_snapshot,
 )
-from euleralpha.spectral import TorusGrid, forward_transform
+from euleralpha.spectral import TorusGrid
 
 from conftest import full_random_band_hat, mesh
 
@@ -126,6 +126,16 @@ class TestConfigParsing:
             load_config(None, {key: value})
         for integer in (np.int64(32), "32"):
             assert getattr(load_config(None, {key: integer}), key) == 32
+
+    @pytest.mark.parametrize("key, value", [("alpha", "0.5"), ("dt", None), ("nu", True),
+                                            ("ic_energy", float("nan")), ("out", Path("x")),
+                                            ("out", b"x")])
+    def test_float_and_out_keys_refuse_other_types(self, key, value):
+        # on the library path these reached numpy (TypeError) or str.strip (AttributeError)
+        kind = "name a directory as a non-empty str" if key == "out" else "be a finite number"
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must {kind}, got {value!r}")):
+            RunConfig(**{key: value}).validate()
+        assert RunConfig(alpha=np.float64(0.5), out="x").validate().alpha == 0.5
 
     def test_list_coercion(self):
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
@@ -250,11 +260,11 @@ class TestInitialConditionBlock:
         X, Y = mesh(grid)
         for amplitude in (1.0, -0.7):
             cfg = RunConfig(n=n, alpha=alpha, ic="taylor_green", ic_amplitude=amplitude)
-            expected = forward_transform(amplitude * 2.0 * np.cos(X) * np.cos(Y))
+            expected = np.fft.fft2(amplitude * 2.0 * np.cos(X) * np.cos(Y))
             assert np.array_equal(make_omega0(cfg, grid), expected[:, : kmax + 1])
             for kx, ky in ((1, 0), (0, -1), (kmax, -kmax), (-1, 2)):
                 cfg = cfg.replace(ic="single_mode", ic_kx=kx, ic_ky=ky)
-                expected = forward_transform(amplitude * np.cos(kx * X + ky * Y))
+                expected = np.fft.fft2(amplitude * np.cos(kx * X + ky * Y))
                 assert np.array_equal(make_omega0(cfg, grid), expected[:, : kmax + 1])
 
     def test_random_draw_peaks_below_two_blocks(self):
@@ -269,6 +279,19 @@ class TestInitialConditionBlock:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * block_bytes
+
+    @pytest.mark.parametrize("ic", ["taylor_green", "single_mode"])
+    def test_grid_sampled_state_peaks_below_44_n_squared_bytes(self, ic):
+        # the samples (8 n^2 B), their complex copy and the axis-1 pass (16 n^2 B each) make
+        # 40 n^2 B; an (n, n) axis-0 pass before the cut to the block made 56 n^2 B
+        grid = TorusGrid(512)
+        tracemalloc.start()
+        try:
+            make_initial_condition(RunConfig(n=grid.n, ic=ic), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * grid.n**2
 
 
 class TestRun:
@@ -420,6 +443,15 @@ class TestSnapshotFormat:
         write_snapshot(path, 16, 0.0, 0.0, 0.0, np.zeros((16, 16)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("size", [4, 5, 31])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        # a killed run can leave a file cut inside its 32-byte header
+        path = tmp_path / "t.eaf"
+        write_snapshot(path, 16, 0.25, 0.01, 1.5, np.zeros((16, 16)))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"truncated snapshot \\({size} bytes"):
             read_snapshot(path)
 
 

@@ -23,7 +23,7 @@ from euleralpha.integrators import (
     step_lie_trotter,
     step_rk4,
 )
-from euleralpha.spectral import TorusGrid, dealias, forward_transform, l2_norm
+from euleralpha.spectral import TorusGrid, dealias, l2_norm
 
 from conftest import (
     cfl_number, direct_step, max_speed, mesh, random_spectrum, random_state, transported_state,
@@ -31,7 +31,7 @@ from conftest import (
 
 
 def single_shell(grid, alpha, nu=0.0):
-    return state_from_omega(grid, forward_transform(np.cos(2 * mesh(grid)[0])), alpha, nu=nu)
+    return state_from_omega(grid, np.fft.fft2(np.cos(2 * mesh(grid)[0])), alpha, nu=nu)
 
 
 def omega_amplitude(state):
@@ -133,7 +133,7 @@ def stepping_states(n, alpha, nu):
     """
     grid = TorusGrid(n)
     X, Y = mesh(grid)
-    taylor_green = forward_transform(2.0 * np.cos(X) * np.cos(Y))
+    taylor_green = np.fft.fft2(2.0 * np.cos(X) * np.cos(Y))
     return (random_state(grid, alpha, nu=nu, kmax=min(4, grid.kmax_dealias), seed=n),
             state_from_omega(grid, taylor_green, alpha, nu=nu))
 

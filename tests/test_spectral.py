@@ -11,7 +11,6 @@ from euleralpha.spectral import (
     ddx,
     ddy,
     dealias,
-    forward_transform,
     dealias_table,
     grid_pass,
     helmholtz,
@@ -119,11 +118,13 @@ class TestPerCallTables:
 
 
 class TestTransforms:
+    """numpy's unnormalized fft2, the transform convention every spectral array follows."""
+
     def test_zero_field(self, grid16):
-        assert not forward_transform(np.zeros((16, 16))).any()
+        assert not np.fft.fft2(np.zeros((16, 16))).any()
 
     def test_single_harmonic_two_modes(self, grid16):
-        F = forward_transform(np.cos(mesh(grid16)[0]))
+        F = np.fft.fft2(np.cos(mesh(grid16)[0]))
         nonzero = np.argwhere(np.abs(F) > 1e-9)
         assert {tuple(ij) for ij in nonzero} == {(1, 0), (15, 0)}
         assert np.abs(F[1, 0]) == pytest.approx(np.abs(F[15, 0]))
@@ -133,7 +134,7 @@ class TestTransforms:
         f = np.fft.ifft2(random_band_hat(grid32, 9, seed=3)).real
         roundtrip, _ = transform_residuals(f)
         assert roundtrip <= 1e-12
-        inverse_transform(forward_transform(f))  # raises unless the coefficients are Hermitian
+        inverse_transform(np.fft.fft2(f))  # raises unless the coefficients are Hermitian
 
     def test_parseval(self, grid32):
         f = np.fft.ifft2(random_band_hat(grid32, 9, seed=4)).real
@@ -202,13 +203,13 @@ class TestTransforms:
 
 class TestMultipliers:
     def test_laplacian_eigenfunction(self, grid16):
-        F = forward_transform(np.cos(2 * mesh(grid16)[0]))
+        F = np.fft.fft2(np.cos(2 * mesh(grid16)[0]))
         lap = inverse_transform(laplacian(grid16, F))
         assert np.abs(lap - (-4.0) * np.cos(2 * mesh(grid16)[0])).max() <= 1e-12
 
     def test_helmholtz_filter_closed_form(self, grid16):
         # 1/(1 + 0.25 * 4) = 1/2 on the k=(2,0) shell
-        F = forward_transform(np.cos(2 * mesh(grid16)[0]))
+        F = np.fft.fft2(np.cos(2 * mesh(grid16)[0]))
         filtered = inverse_transform(inverse_helmholtz(grid16, F, alpha=0.5))
         assert np.abs(filtered - 0.5 * np.cos(2 * mesh(grid16)[0])).max() <= 1e-13
 
@@ -234,7 +235,7 @@ class TestHelmholtzPair:
         # (1 + 1*2) = 3 on the k=(1,1) shell
         X, Y = mesh(grid16)
         f = np.cos(X + Y)
-        out = inverse_transform(helmholtz(grid16, forward_transform(f), alpha=1.0))
+        out = inverse_transform(helmholtz(grid16, np.fft.fft2(f), alpha=1.0))
         assert np.abs(out - 3.0 * f).max() <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0, 10.0])
@@ -254,7 +255,7 @@ class TestStreamFromOmega:
     def test_closed_form(self, grid16):
         # q = (1 + 4 alpha^2) cos(2x) -> omega = cos(2x) -> psi = cos(2x)/4
         for alpha in (0.0, 0.5):
-            q_hat = forward_transform((1.0 + 4.0 * alpha**2) * np.cos(2 * mesh(grid16)[0]))
+            q_hat = np.fft.fft2((1.0 + 4.0 * alpha**2) * np.cos(2 * mesh(grid16)[0]))
             psi = np.fft.irfft2(self.stream(grid16, q_hat, alpha), s=(16, 16))
             assert np.abs(psi - np.cos(2 * mesh(grid16)[0]) / 4.0).max() <= 1e-13
 
@@ -334,10 +335,10 @@ class TestDealias:
 
 class TestIntegrals:
     def test_integral_of_constant(self, grid16):
-        F = forward_transform(np.full((16, 16), 2.5))
+        F = np.fft.fft2(np.full((16, 16), 2.5))
         assert integral(grid16, F) == pytest.approx(2.5 * (2 * np.pi) ** 2)
 
     def test_l2_norm_closed_form(self, grid16):
         # int cos^2(2x) dx dy = (2pi)^2 / 2
-        F = forward_transform(np.cos(2 * mesh(grid16)[0]))
+        F = np.fft.fft2(np.cos(2 * mesh(grid16)[0]))
         assert l2_norm(grid16, F) == pytest.approx(np.sqrt(2.0 * np.pi**2), rel=1e-13)
