@@ -123,13 +123,12 @@ class Diagnostics:
     cfl: float         # max_u * dt / h for the dt supplied by the caller
 
 
-def state_from_omega(
-    grid: TorusGrid, omega_hat: np.ndarray, alpha: float, nu: float = 0.0, t: float = 0.0
-) -> SimState:
+def state_from_omega(grid: TorusGrid, omega_hat: np.ndarray, alpha: float,
+                     nu: float = 0.0) -> SimState:
     """The state of a vorticity block or full spectrum: q = (1 - alpha^2 Lap) w, dealiased."""
     q = dealias(grid, helmholtz(grid, omega_hat[:, : grid.kmax_dealias + 1], alpha))
     q[0, 0] = 0.0
-    return SimState(grid=grid, columns=q, alpha=alpha, nu=nu, t=t)
+    return SimState(grid=grid, columns=q, alpha=alpha, nu=nu)
 
 
 def omega_from_q(grid: TorusGrid, q_hat: np.ndarray, alpha: float) -> np.ndarray:
@@ -257,17 +256,12 @@ def ad_star_hats(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     grid, alpha = state.grid, state.alpha
     u = velocity_columns(grid, dealias(grid, state.columns), alpha)
     v = helmholtz(grid, u, alpha)
-    factors = [u, ddx(grid, u), ddy(grid, u), ddx(grid, v), ddy(grid, v)]
-    if alpha != 0.0:
-        factors.append(laplacian(grid, u))
+    factors = [u, ddx(grid, u), ddy(grid, u), ddx(grid, v), ddy(grid, v), laplacian(grid, u)]
 
     def product(values):
         fields = values.reshape(len(factors), 2, *values.shape[1:])
         (ux, uy), grad_u, grad_v = fields[0], fields[1:3], fields[3:5]  # grad_u[j, c] = d_j u_c
-        m = ux * grad_v[0] + uy * grad_v[1]
-        if alpha != 0.0:
-            m -= alpha**2 * (grad_u * fields[5]).sum(axis=1)
-        return m
+        return ux * grad_v[0] + uy * grad_v[1] - alpha**2 * (grad_u * fields[5]).sum(axis=1)
 
     spectra = np.stack(factors).reshape(-1, *u.shape[1:])
     mx_hat, my_hat = dealias(grid, grid_pass(spectra, product))

@@ -71,6 +71,22 @@ def _check_alpha(alpha: float, n: int) -> None:
         raise ConfigError(f"alpha={alpha} is too large for n={n}: alpha^2 n^4 / 4 overflows")
 
 
+def _is_finite_number(v) -> bool:
+    """An int, float or numpy integer/floating scalar, not a bool, that ``math.isfinite`` accepts."""
+    try:
+        return (not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+                and math.isfinite(v))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite_entries(name: str, values) -> tuple:
+    """``values`` as a tuple; ConfigError naming ``name`` unless it iterates finite numbers."""
+    if not (np.iterable(values) and all(map(_is_finite_number, values := tuple(values)))):
+        raise ConfigError(f"{name} entries must be finite numbers, got {values!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run of the solver, fully specified."""
@@ -104,8 +120,10 @@ class RunConfig:
             raise ConfigError(f"n must be even, >= 8 and <= {MAX_N} (the size cap), got {self.n}")
         for name in _FLOAT_KEYS:
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+            if not _is_finite_number(v):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        for name in _LIST_KEYS:
+            _finite_entries(name, getattr(self, name))
         if self.alpha < 0 or self.nu < 0:
             raise ConfigError("alpha and nu must be >= 0")
         _check_alpha(self.alpha, self.n)
@@ -444,9 +462,7 @@ def _sweep_values(cfg: RunConfig, name: str, values: Sequence[float], positive=T
     finite, positive (>= 0 if not ``positive``) and strictly descending: every sweep's rules.
     """
     cfg.validate()
-    values = tuple(float(v) for v in values)
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{name} entries must be finite, got {values}")
+    values = tuple(map(float, _finite_entries(name, values)))
     if not values or any(v <= 0 if positive else v < 0 for v in values):
         raise ConfigError(f"{name} must be non-empty and {'positive' if positive else '>= 0'}")
     if any(b >= a for a, b in zip(values, values[1:])):

@@ -16,13 +16,15 @@ cos/sin rows X of kx = 0..kmax and Y of ky = 0..kmax, which come from
 powers of exp(ix) and exp(iy), one cos and one sin per coordinate. One
 evaluation of M points costs about 0.9 M n^2 real multiply-adds, in
 blocks of a fixed number of markers, so its working memory does not grow
-with M. The block buffers live in an :class:`EvalWorkspace`, which the
-coupled integration makes once and lends to every evaluation, so that a
-step does not allocate (and fault in) fresh buffers four times.
+with M. Its block buffers, 96 KiB (kmax + 1) + 16 KiB (2.1 MiB at n = 64,
+16 MiB at n = 512), are made once and kept until an evaluation with
+another kmax replaces them, so that a coupled step does not allocate (and
+fault in) fresh buffers four times.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,7 @@ class ParticleMap:
 
 
 # markers per block of eval_velocity_at, whose buffers grow with it: on the
-# flow-map benchmark, with the buffers made once per integration, blocks of
+# flow-map benchmark, with the buffers made once, blocks of
 # 1024, 2048 and 4096 ran alike (body medians 0.43, 0.44, 0.45 s) and blocks
 # of 256 slower (0.51 s)
 _BLOCK = 1024
@@ -88,34 +90,27 @@ def _coefficient_table(grid: TorusGrid, u_hats) -> np.ndarray:
     return table.reshape(4 * w, 2 * w)
 
 
-class EvalWorkspace:
+@functools.lru_cache(maxsize=1)
+def _block_buffers(w: int) -> tuple[np.ndarray, ...]:
     """
-    The block buffers of :func:`eval_velocity_at` on one grid, made once.
+    The block buffers of :func:`eval_velocity_at` at w = kmax + 1, one set alive at a time.
 
     They are flat, so that every block, the tail one too, views a
     contiguous prefix: exp(i k x) and exp(i k y) for k = 0..kmax, their
     cos rows over their sin rows (X over Y), the table times X, and the
     two components (an einsum straight into the (M, 2) result ran 2-4x
     slower). They hold one block of ``_BLOCK`` markers, and every evaluation
-    overwrites what it reads, so a workspace can serve any number of calls
-    with any number of points on its grid. It holds only buffers: every call
-    builds the coefficient table of the fields it is given.
+    overwrites what it reads, so one set serves any number of calls with
+    any number of points at its w.
     """
-
-    def __init__(self, grid: TorusGrid):
-        w = grid.kmax_dealias + 1
-        self.n = grid.n
-        self.powers = np.empty(2 * w * _BLOCK, dtype=np.complex128)
-        self.trig = np.empty(4 * w * _BLOCK)
-        self.amp = np.empty(4 * w * _BLOCK)
-        self.comps = np.empty(2 * _BLOCK)
+    return (np.empty(2 * w * _BLOCK, dtype=np.complex128), np.empty(4 * w * _BLOCK),
+            np.empty(4 * w * _BLOCK), np.empty(2 * _BLOCK))
 
 
 def eval_velocity_at(
     grid: TorusGrid,
     u_hats: tuple[np.ndarray, np.ndarray],
     points: np.ndarray,
-    workspace: EvalWorkspace | None = None,
 ) -> np.ndarray:
     """
     Evaluate the velocity interpolant at arbitrary points.
@@ -132,10 +127,10 @@ def eval_velocity_at(
 
     The points are taken in blocks of ``_BLOCK``: per block, one real
     matrix product of the coefficient table with the cos/sin rows of x,
-    then a sum against the rows of y. The buffers come from ``workspace``,
-    which the coupled integration makes once per run; a call without one
-    makes its own. The result does not depend on the workspace or on what
-    it held before.
+    then a sum against the rows of y. The block buffers are those of the
+    last call with the same kmax, made anew when kmax changes; the result
+    does not depend on what they held before. Calls made at once from
+    several threads would share them, and the package makes none.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -143,19 +138,16 @@ def eval_velocity_at(
     if not np.all(np.isfinite(points)):
         raise ValueError("evaluation points must be finite")
     m = points.shape[0]
-    if workspace is None:
-        workspace = EvalWorkspace(grid)
-    elif workspace.n != grid.n:
-        raise ValueError(f"workspace for n={workspace.n} cannot evaluate points at n={grid.n}")
     w = grid.kmax_dealias + 1
+    powers, trig, amp, comps = _block_buffers(w)
     table = _coefficient_table(grid, u_hats)
     out = np.empty((m, 2))
     for start in range(0, m, _BLOCK):
         r = min(_BLOCK, m - start)
-        p = workspace.powers[: 2 * w * r].reshape(w, 2, r)
-        t = workspace.trig[: 4 * w * r].reshape(2, 2 * w, r)
-        a = workspace.amp[: 4 * w * r].reshape(4 * w, r)
-        u = workspace.comps[: 2 * r].reshape(2, r)
+        p = powers[: 2 * w * r].reshape(w, 2, r)
+        t = trig[: 4 * w * r].reshape(2, 2 * w, r)
+        a = amp[: 4 * w * r].reshape(4 * w, r)
+        u = comps[: 2 * r].reshape(2, r)
         p[0] = 1.0
         np.cos(points[start : start + r].T, out=p[1].real)
         np.sin(points[start : start + r].T, out=p[1].imag)
@@ -169,22 +161,17 @@ def eval_velocity_at(
     return out
 
 
-def advect_particles(
-    pm: ParticleMap, state: SimState, dt: float, stages: tuple, workspace: EvalWorkspace | None = None
-) -> ParticleMap:
+def advect_particles(pm: ParticleMap, state: SimState, dt: float, stages: tuple) -> ParticleMap:
     """
     One RK4 step of dx/dt = u(t, x) for every marker.
 
     ``stages`` holds the spectral velocity pairs (u_x, u_y) at t, t + dt/2
     and t + dt, as the coupled driver produces them; ``state`` supplies the
-    grid. The four evaluations share ``workspace``'s buffers (one made for
-    this step if none is given). Only the markers move.
+    grid. Only the markers move.
     """
     grid = state.grid
     u0, u_half, u1 = stages
     x = pm.positions
-    if workspace is None:
-        workspace = EvalWorkspace(grid)
 
     def stage(k, h):
         # x + h k, rounded as x + (h * k), in one (M, 2) array
@@ -192,12 +179,12 @@ def advect_particles(
         point += x
         return point
 
-    k1 = eval_velocity_at(grid, u0, x, workspace)
-    k2 = eval_velocity_at(grid, u_half, stage(k1, 0.5 * dt), workspace)
-    k3 = eval_velocity_at(grid, u_half, stage(k2, 0.5 * dt), workspace)
-    k4 = eval_velocity_at(grid, u1, stage(k3, dt), workspace)
+    k1 = eval_velocity_at(grid, u0, x)
+    k2 = eval_velocity_at(grid, u_half, stage(k1, 0.5 * dt))
+    k3 = eval_velocity_at(grid, u_half, stage(k2, 0.5 * dt))
+    k4 = eval_velocity_at(grid, u1, stage(k3, dt))
     # x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), summed in place into k2, so
-    # that the update's temporaries and the workspace, which outlives the
+    # that the update's temporaries and the block buffers, which outlive the
     # step, do not raise its peak memory; every sum and product rounds as
     # that expression does
     k2 *= 2.0
@@ -219,9 +206,9 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
     shortened. A non-finite field raises :class:`NumericsFailure` before
     the markers move; a bad dt or t_final raises ``ValueError`` as
     :func:`~euleralpha.integrators.integrate` does. Returns ``(state, pm)``
-    at t_final. Every marker step evaluates in one :class:`EvalWorkspace`.
+    at t_final. Every evaluation of the run shares one set of block buffers,
+    which outlives the run until an evaluation with another kmax replaces it.
     """
-    workspace = EvalWorkspace(state.grid)
 
     def coupled(s: SimState, step_dt: float) -> SimState:
         nonlocal pm
@@ -232,7 +219,7 @@ def integrate_with_particles(state: SimState, pm: ParticleMap, t_final: float, d
         if not np.all(np.isfinite(full.columns)):
             raise NumericsFailure(full.t)
         stages = tuple(velocity_columns(x.grid, x.columns, x.alpha) for x in (s, half, full))
-        pm = advect_particles(pm, s, step_dt, stages, workspace)
+        pm = advect_particles(pm, s, step_dt, stages)
         return full
 
     for _, state in _march(state, t_final, dt, coupled):

@@ -7,6 +7,7 @@ import dataclasses
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +130,24 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [("alpha", "0.5"), ("dt", None), ("nu", True),
                                             ("ic_energy", float("nan")), ("out", Path("x")),
-                                            ("out", b"x")])
-    def test_float_and_out_keys_refuse_other_types(self, key, value):
-        # on the library path these reached numpy (TypeError) or str.strip (AttributeError)
-        kind = "name a directory as a non-empty str" if key == "out" else "be a finite number"
-        with pytest.raises(ConfigError, match=re.escape(f"{key} must {kind}, got {value!r}")):
+                                            ("out", b"x"), ("alpha", Fraction(1, 2)),
+                                            pytest.param("alpha", 10**400, id="alpha-10**400"),
+                                            ("nu_list", ("a",)),
+                                            pytest.param("nu_list", (10**400,), id="nu_list-10**400"),
+                                            ("dt_list", 0.1)])
+    def test_float_and_out_keys_refuse_other_types(self, key, value, tmp_path):
+        # on the library path these reached numpy (TypeError) or str.strip (AttributeError); a
+        # bad list entry passed and a run wrote its files before config_entries raised
+        kind = ("entries must be finite numbers" if key.endswith("_list") else
+                "must name a directory as a non-empty str" if key == "out" else
+                "must be a finite number")
+        message = re.escape(f"{key} {kind}, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
             RunConfig(**{key: value}).validate()
+        if key != "out":
+            with pytest.raises(ConfigError, match=message):
+                run(RunConfig(**{"n": 8, "t_final": 0.01, "out": str(tmp_path / "o"), key: value}))
+            assert not list(tmp_path.iterdir())
         assert RunConfig(alpha=np.float64(0.5), out="x").validate().alpha == 0.5
 
     def test_list_coercion(self):
@@ -523,6 +536,12 @@ class TestSweepNu:
             sweep_nu(cfg, (1e-3, -1e-4))
         with pytest.raises(ConfigError, match="finite"):
             sweep_nu(cfg, (float("nan"), 1e-3))
+
+    @pytest.mark.parametrize("values", [(10**400, 1.0), ("x",)], ids=["10**400", "x"])
+    def test_entries_that_are_no_finite_float_are_config_errors(self, values):
+        # float() raised OverflowError and a bare ValueError here
+        with pytest.raises(ConfigError, match="nu_list entries must be finite numbers"):
+            sweep_nu(_sweep_cfg(), values)
 
     def test_parallel_workers_match_serial(self):
         cfg = _sweep_cfg(t_final=0.2)

@@ -14,7 +14,6 @@ from euleralpha.checks import affine_jacobian_deviation
 from euleralpha.dynamics import compute_diagnostics, velocity_columns
 from euleralpha.integrators import NumericsFailure, step_rk4
 from euleralpha.particles import (
-    EvalWorkspace,
     ParticleMap,
     advect_particles,
     eval_velocity_at,
@@ -127,27 +126,17 @@ class TestEvalVelocityAt:
 
     def test_no_points_give_an_empty_result(self, grid16):
         hats = (np.zeros((16, 16), dtype=complex),) * 2
-        for ws in (None, EvalWorkspace(grid16)):
-            vals = eval_velocity_at(grid16, hats, np.zeros((0, 2)), ws)
-            assert vals.shape == (0, 2) and vals.dtype == np.float64
-
-    def test_rejects_a_workspace_that_does_not_fit(self, grid16, grid32):
-        hats = (np.zeros((16, 16), dtype=complex),) * 2
-        with pytest.raises(ValueError, match="workspace for n=32"):
-            eval_velocity_at(grid16, hats, np.zeros((4, 2)), EvalWorkspace(grid32))
+        vals = eval_velocity_at(grid16, hats, np.zeros((0, 2)))
+        assert vals.shape == (0, 2) and vals.dtype == np.float64
 
     def test_fields_changed_in_place_are_read_again(self, grid16):
-        # a reused workspace keeps no table: after u *= 2 the same call, on the
-        # same arrays, returns what a one-shot call on them does
+        # the cached buffers keep no table: after u *= 2 the same call, on the
+        # same arrays, returns twice what it did
         u = velocity_columns(grid16, random_state(grid16, alpha=0.25, seed=3).columns, 0.25)
         pts = np.random.default_rng(3).uniform(-5.0, 5.0, (7, 2))
-        ws = EvalWorkspace(grid16)
-        first = eval_velocity_at(grid16, u, pts, ws)
-        assert np.array_equal(first, eval_velocity_at(grid16, u, pts))
+        first = eval_velocity_at(grid16, u, pts)
         u *= 2.0
-        again = eval_velocity_at(grid16, u, pts, ws)
-        assert np.array_equal(again, eval_velocity_at(grid16, u, pts))
-        assert np.array_equal(again, 2.0 * first)
+        assert np.array_equal(eval_velocity_at(grid16, u, pts), 2.0 * first)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -235,13 +224,13 @@ class TestAdvectParticles:
 
     def test_four_evaluations_four_tables_one_workspace_per_step(self, grid16, monkeypatch):
         # every evaluation builds the table of the fields it is given; all four
-        # stages evaluate in the workspace that the step was given
+        # stages evaluate in one set of block buffers, which the next step reuses
         calls, tables = [], []
         evaluate, build = particles.eval_velocity_at, particles._coefficient_table
 
-        def counting_eval(grid, u_hats, points, workspace=None):
-            calls.append(workspace)
-            return evaluate(grid, u_hats, points, workspace)
+        def counting_eval(grid, u_hats, points):
+            calls.append(u_hats)
+            return evaluate(grid, u_hats, points)
 
         def counting_table(grid, u_hats):
             tables.append(u_hats)
@@ -252,13 +241,13 @@ class TestAdvectParticles:
         state = random_state(grid16, alpha=0.25, seed=4)
         stages = tuple(velocity_columns(grid16, state.columns * f, 0.25) for f in (1.0, 1.1, 1.2))
         pm = ParticleMap.lattice(4)
-        ws = EvalWorkspace(grid16)
-        advect_particles(pm, state, 0.05, stages, ws)
-        assert calls == [ws] * 4
-        assert tables == [stages[0], stages[1], stages[1], stages[2]]
-        calls.clear()
+        particles._block_buffers.cache_clear()
         advect_particles(pm, state, 0.05, stages)
-        assert len(calls) == 4 and calls[0] is not None and calls == [calls[0]] * 4
+        assert calls == tables == [stages[0], stages[1], stages[1], stages[2]]
+        advect_particles(pm, state, 0.05, stages)
+        assert len(calls) == 8
+        info = particles._block_buffers.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
 
     def test_step_is_the_rk4_expression_bit_for_bit(self, grid32):
         # the in-place stage points and update round as the textbook RK4
@@ -415,19 +404,21 @@ class TestCoupledIntegration:
 
     def test_coupled_step_makes_four_evaluations_in_one_workspace(self, grid16, monkeypatch):
         # 0.1 / 0.025: four coupled steps, four evaluations each, every one
-        # in the workspace the integration made
-        workspaces = []
+        # in the one set of block buffers the run made
+        grids = []
         evaluate = particles.eval_velocity_at
 
-        def counting_eval(grid, u_hats, points, workspace=None):
-            workspaces.append(workspace)
-            return evaluate(grid, u_hats, points, workspace)
+        def counting_eval(grid, u_hats, points):
+            grids.append(grid)
+            return evaluate(grid, u_hats, points)
 
         monkeypatch.setattr(particles, "eval_velocity_at", counting_eval)
         state = random_state(grid16, alpha=0.25, seed=7)
+        particles._block_buffers.cache_clear()
         integrate_with_particles(state, ParticleMap.lattice(4), 0.1, dt=0.025)
-        assert len(workspaces) == 16
-        assert isinstance(workspaces[0], EvalWorkspace) and workspaces == [workspaces[0]] * 16
+        assert grids == [grid16] * 16
+        info = particles._block_buffers.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 15, 1)
 
     def test_rejects_backward_target(self, grid16):
         state = random_state(grid16, alpha=0.25, seed=7).replace(t=1.0)

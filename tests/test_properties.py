@@ -35,7 +35,7 @@ from euleralpha.experiments import (
 )
 from euleralpha.integrators import SCHEMES, STEPPERS, CflViolation, step_rk4
 from euleralpha.output import read_snapshot, write_snapshot
-from euleralpha.particles import _BLOCK, EvalWorkspace, eval_velocity_at
+from euleralpha.particles import _BLOCK, _block_buffers, eval_velocity_at
 from euleralpha.spectral import TorusGrid, dealias, l2_inner, l2_norm
 
 from conftest import (
@@ -117,22 +117,26 @@ def test_off_grid_velocity_matches_full_spectrum_sum(n, m, alpha, seed):
 
 
 @PROPERTY
-@given(st.integers(4, 32).map(lambda h: 2 * h),
+@given(st.sampled_from([(16, 32), (32, 16)]),
        st.lists(st.tuples(st.integers(0, 3 * _BLOCK), st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
-def test_reused_workspace_gives_one_shot_results(n, calls):
-    # one workspace, its buffers poisoned with NaN, serves calls of any
-    # marker count (tail blocks and fewer than _BLOCK markers included),
-    # each on another field: nothing left from an earlier call may reach a
-    # result, which must equal that of a call with fresh buffers bit for bit
-    grid = TorusGrid(n)
-    ws = EvalWorkspace(grid)
-    for buf in (ws.powers, ws.trig, ws.amp, ws.comps):
-        buf.fill(np.nan)
-    for m, seed in calls:
-        state = state_from_omega(grid, random_spectrum(grid, n // 2, seed), 0.25)
-        cols = velocity_columns(grid, state.columns, 0.25)
+def test_reused_workspace_gives_one_shot_results(sizes, calls):
+    # the cached block buffers, poisoned with NaN before each call, serve calls
+    # of any marker count (tail blocks and fewer than _BLOCK markers included)
+    # on grids whose n alternates, each on another field: nothing left from an
+    # earlier call may reach a result, which must equal that of a call on
+    # fresh buffers bit for bit
+    args, fresh = [], []
+    for i, (m, seed) in enumerate(calls):
+        grid = TorusGrid(sizes[i % 2])
+        state = state_from_omega(grid, random_spectrum(grid, grid.n // 2, seed), 0.25)
         pts = np.random.default_rng(seed).uniform(-50.0, 50.0, (m, 2))
-        assert np.array_equal(eval_velocity_at(grid, cols, pts, ws), eval_velocity_at(grid, cols, pts))
+        args.append((grid, velocity_columns(grid, state.columns, 0.25), pts))
+        _block_buffers.cache_clear()
+        fresh.append(eval_velocity_at(*args[-1]))
+    for (grid, cols, pts), expected in zip(args, fresh):
+        for buf in _block_buffers(grid.kmax_dealias + 1):
+            buf.fill(np.nan)
+        assert np.array_equal(eval_velocity_at(grid, cols, pts), expected)
 
 
 @PROPERTY
