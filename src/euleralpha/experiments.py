@@ -174,7 +174,7 @@ def _coerce(key: str, raw):
         if key in _FLOAT_KEYS:
             return float(raw)
         if key in _LIST_KEYS:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
+            return tuple(map(float, raw.split(","))) if raw.strip() else ()
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return raw

@@ -80,40 +80,25 @@ def snapshot_name(step: int) -> str:
     return f"snap_{step:08d}.eaf"
 
 
+def _drift(value: float, base: float) -> float:
+    if base == 0.0:
+        return 0.0 if value == 0.0 else float("inf")
+    return (value - base) / abs(base)
+
+
 class DiagnosticsLog:
     """Accumulates diagnostics rows; drifts are relative to the first row."""
 
     def __init__(self) -> None:
         self.rows: list[Diagnostics] = []
 
-    @staticmethod
-    def _drift(value: float, base: float) -> float:
-        if base == 0.0:
-            return 0.0 if value == 0.0 else float("inf")
-        return (value - base) / abs(base)
-
-    def to_csv(self) -> str:
-        lines = [",".join(DIAG_COLUMNS)]
-        if self.rows:
-            e0 = self.rows[0].energy
-            c0 = self.rows[0].casimir2
-            for d in self.rows:
-                fields = (
-                    d.t,
-                    d.energy,
-                    self._drift(d.energy, e0),
-                    d.mean_q,
-                    d.casimir2,
-                    self._drift(d.casimir2, c0),
-                    d.enstrophy,
-                    d.max_u,
-                    d.cfl,
-                )
-                lines.append(",".join(repr(float(v)) for v in fields))
-        return "\n".join(lines) + "\n"
-
     def write(self, path) -> None:
-        Path(path).write_text(self.to_csv())
+        lines = [",".join(DIAG_COLUMNS)]
+        for d in self.rows:
+            row = {**vars(d), "energy_rel_drift": _drift(d.energy, self.rows[0].energy),
+                   "casimir2_rel_drift": _drift(d.casimir2, self.rows[0].casimir2)}
+            lines.append(",".join(repr(float(row[name])) for name in DIAG_COLUMNS))
+        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_diagnostics(path) -> dict[str, np.ndarray]:
@@ -123,6 +108,9 @@ def read_diagnostics(path) -> dict[str, np.ndarray]:
     if header != DIAG_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {header}")
     data = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    for i, row in enumerate(data, start=2):
+        if len(row) != len(DIAG_COLUMNS):
+            raise ValueError(f"{path}: line {i}: expected {len(DIAG_COLUMNS)} values, got {len(row)}")
     arr = np.asarray(data, dtype=np.float64).reshape(-1, len(DIAG_COLUMNS))
     return {name: arr[:, i] for i, name in enumerate(DIAG_COLUMNS)}
 

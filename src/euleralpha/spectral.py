@@ -38,7 +38,7 @@ derivatives of real fields stay real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class TorusGrid:
     Parameters
     ----------
     n : int
-        Grid points per dimension, even and >= 8; grids compare and hash by n alone.
+        Grid points per dimension, even and >= 8. Equality, hash and repr go by n
+        alone: the attributes below are derived from it in ``__post_init__``.
 
     Attributes
     ----------
@@ -67,10 +68,9 @@ class TorusGrid:
         Their squares ``kx**2``.
     DX, DY : ndarray, shapes (n, 1) and (1, n), complex
         First-derivative multipliers ``i*k``, Nyquist mode zeroed; they broadcast.
-    kept : ndarray of bool, shape (n,)
-        True iff ``|k| < n/3`` (2/3 rule), per axis.
     dealias_rows : ndarray of bool, shape (n, 1)
-        ``kept`` as a column: the 2/3 mask on every column ky <= kmax_dealias.
+        True iff ``|kx| < n/3`` (2/3 rule), as a column: the 2/3 mask on every
+        column ky <= kmax_dealias.
     kmax_dealias : int
         Largest retained wavenumber magnitude per axis.
     h : float
@@ -78,16 +78,6 @@ class TorusGrid:
     """
 
     n: int
-    x: np.ndarray = field(init=False, repr=False, compare=False)
-    kx: np.ndarray = field(init=False, repr=False, compare=False)
-    kx2: np.ndarray = field(init=False, repr=False, compare=False)
-    DX: np.ndarray = field(init=False, repr=False, compare=False)
-    DY: np.ndarray = field(init=False, repr=False, compare=False)
-    kept: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    kmax_dealias: int = field(init=False)
-    h: float = field(init=False)
-    _rhs_factors: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 8 or self.n % 2 != 0:
@@ -104,9 +94,7 @@ class TorusGrid:
         s(self, "DX", 1j * kd[:, None])
         s(self, "DY", 1j * kd[None, :])
         cut = n / 3.0
-        kept = np.abs(k1) < cut
-        s(self, "kept", kept)
-        s(self, "dealias_rows", kept[:, None])
+        s(self, "dealias_rows", (np.abs(k1) < cut)[:, None])
         s(self, "kmax_dealias", int(np.ceil(cut)) - 1)
         s(self, "h", 2.0 * np.pi / n)
         s(self, "_rhs_factors", [None, np.empty((2, n, self.kmax_dealias + 1))])
@@ -127,7 +115,7 @@ def helmholtz_table(grid: TorusGrid, w: int, alpha: float) -> np.ndarray:
 
 def dealias_table(grid: TorusGrid, w: int) -> np.ndarray:
     """The ``(n, w)`` 2/3 mask on the columns ky < w: ``|kx| < n/3`` and ``|ky| < n/3``."""
-    return grid.dealias_rows & grid.kept[None, :w]
+    return grid.dealias_rows & grid.dealias_rows[:w, 0]
 
 
 #: float64 samples in one block of :func:`grid_pass`, 1 MiB (measured in the README);

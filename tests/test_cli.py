@@ -216,6 +216,7 @@ class TestSweepCommands:
         ("sweep-nu", "--nu-list", "nan,1e-3"),
         ("sweep-alpha", "--alpha-list", "inf,0.1"),
         ("splitting-order", "--dt-list", "nan,0.01,0.005"),
+        ("sweep-nu", "--nu-list", "0.1,,0.05"),
     ])
     def test_nonfinite_list_entry_is_config_error(self, command, flag, values, capsys):
         code = main([command, "--n", "16", "--nu", "0.01", "--t-final", "0.01", flag, values])

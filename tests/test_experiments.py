@@ -74,9 +74,19 @@ class TestConfigParsing:
         assert cfg.n == 32
         assert cfg.alpha == 0.75
 
-    def test_bad_value_reported_with_key(self):
-        with pytest.raises(ConfigError, match="bad value for n"):
-            load_config(None, {"n": "thirty-two"})
+    @pytest.mark.parametrize("key, raw", [
+        ("n", "thirty-two"),
+        ("nu_list", "0.1,,0.05"),
+        ("nu_list", "0.1, ,0.05"),
+        ("nu_list", "0.1,0.05,"),
+    ])
+    def test_bad_value_reported_with_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"bad value for {key}: {raw!r}"):
+            load_config(None, {key: raw})
+
+    @pytest.mark.parametrize("raw", ["", "   "])
+    def test_empty_list_value_means_no_entries(self, raw):
+        assert load_config(None, {"nu_list": raw}).nu_list == ()
 
     def test_validation_catches_bad_combinations(self):
         with pytest.raises(ConfigError):
@@ -413,6 +423,15 @@ class TestRun:
         ]
         rebuilt = header + "\n" + "\n".join(rows) + "\n"
         assert rebuilt == path.read_text()
+
+    @pytest.mark.parametrize("width", [8, 10, 18])
+    def test_diagnostics_row_of_wrong_width_names_file_and_line(self, tmp_path, width):
+        # 18 values would otherwise read back as two rows
+        path = tmp_path / "diagnostics.csv"
+        rows = ["0.0," * 8 + "0.0", ",".join(["1.0"] * width)]
+        path.write_text(",".join(DIAG_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 3: expected 9 values, got {width}$"):
+            read_diagnostics(path)
 
 
 class TestSnapshotFormat:

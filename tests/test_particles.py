@@ -28,6 +28,7 @@ from conftest import (
     mesh,
     random_state,
     spectral_determinant,
+    sub_lattice,
     velocity_hats_from_q,
 )
 
@@ -359,6 +360,18 @@ class TestCoupledIntegration:
             _, out = integrate_with_particles(state, pm, 0.5, dt=0.025)
             errs.append(jacobian_determinant(out).max_deviation())
         assert 3.0 <= errs[0] / errs[1] <= 5.0, errs
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_every_other_marker_of_a_2m_run_is_the_m_run(self, grid32, m):
+        # criterion 7 takes its m=64 map from the m=128 run on this identity
+        state = random_state(grid32, alpha=0.25, seed=8)
+        _, coarse = integrate_with_particles(state, ParticleMap.lattice(m), 0.1, dt=0.025)
+        _, fine = integrate_with_particles(state, ParticleMap.lattice(2 * m), 0.1, dt=0.025)
+        nested = sub_lattice(fine)
+        assert nested.m == m
+        assert np.array_equal(nested.ref_positions, coarse.ref_positions)
+        assert np.array_equal(nested.positions, coarse.positions)
+        assert not np.array_equal(coarse.positions, coarse.ref_positions)
 
     def test_geodesic_energy_constant_along_flow(self, grid32):
         # right invariance: the Eulerian energy equals the geodesic speed and
