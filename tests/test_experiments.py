@@ -74,15 +74,11 @@ class TestConfigParsing:
         assert cfg.n == 32
         assert cfg.alpha == 0.75
 
-    @pytest.mark.parametrize("key, raw", [
-        ("n", "thirty-two"),
-        ("nu_list", "0.1,,0.05"),
-        ("nu_list", "0.1, ,0.05"),
-        ("nu_list", "0.1,0.05,"),
-    ])
-    def test_bad_value_reported_with_key(self, key, raw):
-        with pytest.raises(ConfigError, match=f"bad value for {key}: {raw!r}"):
-            load_config(None, {key: raw})
+    def test_bad_value_reported_with_key(self):
+        for key, raw in [("n", "thirty-two"), ("nu_list", "0.1,,0.05"),
+                         ("nu_list", "0.1, ,0.05"), ("nu_list", "0.1,0.05,")]:
+            with pytest.raises(ConfigError, match=f"bad value for {key}: {raw!r}"):
+                load_config(None, {key: raw})
 
     @pytest.mark.parametrize("raw", ["", "   "])
     def test_empty_list_value_means_no_entries(self, raw):
