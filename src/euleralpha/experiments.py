@@ -203,7 +203,7 @@ def load_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
     entries: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except UnicodeDecodeError as exc:

@@ -107,10 +107,15 @@ def read_diagnostics(path) -> dict[str, np.ndarray]:
     header = tuple(lines[0].split(","))
     if header != DIAG_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {header}")
-    data = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    for i, row in enumerate(data, start=2):
+    data = []
+    for i, line in enumerate(lines[1:], start=2):
+        row = line.split(",")
         if len(row) != len(DIAG_COLUMNS):
             raise ValueError(f"{path}: line {i}: expected {len(DIAG_COLUMNS)} values, got {len(row)}")
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i}: {exc}") from None
     arr = np.asarray(data, dtype=np.float64).reshape(-1, len(DIAG_COLUMNS))
     return {name: arr[:, i] for i, name in enumerate(DIAG_COLUMNS)}
 

@@ -66,6 +66,12 @@ class TestRunCommand:
         assert snap.time == pytest.approx(0.02)
         assert snap.alpha == 0.5
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("n = 16\nic = single_mode\nt_final = 0.02\n", encoding="utf-8-sig")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "diagnostics.csv").exists()
+
     def test_config_error_exit_1(self, tmp_path, capsys):
         assert main(run_args(tmp_path, scheme="leapfrog")) == 1
         assert "configuration error" in capsys.readouterr().err

@@ -160,6 +160,14 @@ class TestConfigParsing:
         cfg = load_config(None, {"dt_list": "0.02,0.01,0.005"})
         assert cfg.dt_list == (0.02, 0.01, 0.005)
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        text = "n = 32\nalpha = 0.5\nic = single_mode\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(bom) == load_config(plain)
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
@@ -420,13 +428,19 @@ class TestRun:
         rebuilt = header + "\n" + "\n".join(rows) + "\n"
         assert rebuilt == path.read_text()
 
-    @pytest.mark.parametrize("width", [8, 10, 18])
-    def test_diagnostics_row_of_wrong_width_names_file_and_line(self, tmp_path, width):
+    @pytest.mark.parametrize("row, message", [
+        (",".join(["1.0"] * 8), "expected 9 values, got 8"),
+        (",".join(["1.0"] * 10), "expected 9 values, got 10"),
+        (",".join(["1.0"] * 18), "expected 9 values, got 18"),
+        ("", "expected 9 values, got 1"),
+        ("abc" + ",1.0" * 8, "could not convert string to float: 'abc'"),
+    ], ids=["8", "10", "18", "blank", "abc"])
+    def test_diagnostics_row_of_wrong_width_names_file_and_line(self, tmp_path, row, message):
         # 18 values would otherwise read back as two rows
         path = tmp_path / "diagnostics.csv"
-        rows = ["0.0," * 8 + "0.0", ",".join(["1.0"] * width)]
+        rows = ["0.0," * 8 + "0.0", row, "0.0," * 8 + "0.0"]
         path.write_text(",".join(DIAG_COLUMNS) + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match=f"^{path}: line 3: expected 9 values, got {width}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 3: {message}')}$"):
             read_diagnostics(path)
 
 
