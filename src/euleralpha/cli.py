@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import functools
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 
 from .experiments import (
     ConfigError,
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:  # BrokenProcessPool's base: no pool import
         print(f"system error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -12,7 +12,10 @@ Sweep distances are reported two ways: L2 on the prognostic field q and
 the H^1_alpha-weighted norm on the velocity; fitted log-log slopes always
 come with their residual. Observed convergence rates (e.g. the O(nu) rate
 of the vanishing-viscosity sweep) are empirical findings of this harness,
-not guaranteed rates.
+not guaranteed rates. A sweep with ``workers > 1`` runs its members in a
+process pool, whose modules load at the first such sweep: importing this
+module, a run or a serial sweep loads neither concurrent.futures nor
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import functools
 import math
 import numbers
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -404,6 +405,13 @@ def _terminal_q(cfg: RunConfig, omega_hat: np.ndarray) -> np.ndarray:
     return integrate(state, cfg.t_final, cfg.dt, cfg.scheme).columns
 
 
+def _process_pool(max_workers: int):
+    """The sweeps' process pool; tests patch this name to run the members in-process."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, workers: int):
     """
     Check each member's config and initial state, then run them; a labeled failure aborts the rest.
@@ -411,14 +419,17 @@ def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, worker
     A pool takes the members longest first (most steps t_final / dt, equal lengths in list
     order: Graham's LPT rule), so that the sweep ends with its longest member. The first
     failure cancels the members not yet started; results and failures are read in list order.
+    The pool's modules (concurrent.futures, multiprocessing) load here, at the first pooled
+    sweep, not at import.
     """
+    failures = (ConfigError, CflViolation, NumericsFailure, FloatingPointError)
+
     def _collect(labeled_calls):
         out = []
         for label, call in labeled_calls:
             try:
                 out.append(call())
-            except (ConfigError, CflViolation, NumericsFailure, FloatingPointError,
-                    BrokenProcessPool) as exc:
+            except failures as exc:
                 exc.args = (f"sweep member {label} failed: {exc}",)
                 raise
         return out
@@ -428,10 +439,14 @@ def _map_members(configs, grid: TorusGrid, omega_hat: np.ndarray, labels, worker
     if workers <= 1:
         return _collect(zip(labels, (functools.partial(_terminal_q, c, omega_hat)
                                      for c in configs)))
+    from concurrent.futures import FIRST_EXCEPTION, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    failures += (BrokenProcessPool,)  # a dead worker is labeled like a failed member
     longest_first = sorted(range(len(configs)), key=lambda i: configs[i].t_final / configs[i].dt,
                            reverse=True)
     # under fork the pool starts all its workers at the first submit
-    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
+    with _process_pool(min(workers, len(configs))) as pool:
         futures = [None] * len(configs)
         for i in longest_first:
             futures[i] = pool.submit(_terminal_q, configs[i], omega_hat)

@@ -500,9 +500,9 @@ class TestSnapshotFormat:
 @pytest.fixture
 def inline_pool(monkeypatch):
     """
-    In-process stand-in for the sweeps' ProcessPoolExecutor (a real pool forks all
-    max_workers at the first submit): runs each member at its submit and records the
-    pool sizes and the submitted members' configs in submit order.
+    In-process stand-in for the sweeps' process pool (``experiments._process_pool``; a
+    real pool forks all max_workers at the first submit): runs each member at its submit
+    and records the pool sizes and the submitted members' configs in submit order.
     """
     from concurrent.futures import Future
 
@@ -524,7 +524,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(cfg, *args))
             return future
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments, "_process_pool", InlinePool)
     return InlinePool
 
 
